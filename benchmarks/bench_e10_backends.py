@@ -33,7 +33,7 @@ from repro.nsc import builder as B
 from repro.nsc import from_python
 from repro.nsc.types import NAT
 
-BACKENDS = ("fused", "vector", "vector-jit")
+BACKENDS = ("fused", "vector")
 BATCH = 64
 REPEAT = 11
 

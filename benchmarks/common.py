@@ -37,21 +37,9 @@ def host_info() -> dict[str, Any]:
     """The machine facts a wall-clock number is meaningless without.
 
     Attached to every record so a BENCH_*.json line can be judged in
-    context: core count (parallel benches), interpreter version, and
-    whether numba was importable (the vector-jit tier silently degrades to
-    the plain vector backend without it).
+    context: core count (parallel benches) and interpreter version.
     """
-    try:
-        import numba  # noqa: F401
-
-        numba_version = getattr(numba, "__version__", "unknown")
-    except Exception:
-        numba_version = None
-    return {
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "numba": numba_version,
-    }
+    return {"cpus": os.cpu_count(), "python": platform.python_version()}
 
 
 def rng(seed: int = 0) -> random.Random:

@@ -1,13 +1,14 @@
-"""Pluggable execution backends for untraced BVRAM runs (PR 6).
+"""Pluggable execution backends for untraced BVRAM runs.
 
-A backend turns a validated program into a cached *plan* and drives it with
-the exact Section 2 ``T``/``W`` accounting.  Three ship here:
+A backend turns a validated program into a cached *plan* and hands it to
+the one dispatch loop (:func:`repro.backends.base.run_plan`), which keeps
+the exact Section 2 ``T``/``W`` accounting.  Two ship here:
 
-* ``interp`` — one Python closure per instruction (the PR 3 fast path);
-* ``fused`` — one closure call per straight-line block (the PR 4/5 default);
-* ``vector`` / ``vector-jit`` — each block compiled to one *generated*
-  Python function of NumPy mega-ops with interval-bound guard elision
-  (``vector-jit`` additionally splices in numba kernels when available).
+* ``fused`` — one closure call per straight-line block; the plan is cheap
+  to build, so this is the default;
+* ``vector`` — each block compiled to one *generated* Python function of
+  NumPy mega-ops with interval-bound guard elision; faster blocks, a far
+  dearer plan.
 
 Select per call (``run(..., backend="vector")``), per program
 (``compile_nsc(fn, backend="vector")`` — the choice survives pickling to
@@ -26,11 +27,8 @@ from .base import (
     register_backend,
     resolve_backend,
 )
-from . import interp, fused, vector  # noqa: F401  (import registers the backends)
-from .interp import INTERP
 from .fused import FUSED
-from .jit import HAVE_NUMBA
-from .vector import VECTOR, VECTOR_JIT
+from .vector import VECTOR
 
 __all__ = [
     "Backend",
@@ -43,9 +41,6 @@ __all__ = [
     "HALT",
     "TRAP",
     "BLOCK",
-    "INTERP",
     "FUSED",
     "VECTOR",
-    "VECTOR_JIT",
-    "HAVE_NUMBA",
 ]

@@ -23,8 +23,10 @@ Selection (:func:`resolve_backend`) is by name, in precedence order:
 explicit ``backend=`` argument, the program's own ``backend`` attribute
 (survives pickling — this is how a shard worker learns the choice), the
 ``REPRO_BACKEND`` environment variable, then the ``fused`` default.
-``BVRAM.run(..., fuse=False)`` keeps its historical meaning: the
-per-instruction ``interp`` backend.
+
+Every backend drives its plan through the one dispatch loop here,
+:func:`run_plan`; backends differ only in how they *build* the plan's
+blocks (closure loops vs generated source).
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ import os
 
 from ..bvram.errors import BVRAMError
 
-#: plan entry kinds, shared by every backend's plan representation
+#: plan entry kinds.  The closure table (:mod:`repro.backends.interp`) has
+#: one STEP/JUMP/HALT/TRAP entry per instruction; an executable plan groups
+#: the STEPs into BLOCKs, so :func:`run_plan` never sees a STEP.
 STEP = 0  # plain register op: fn(regs) executes it
 JUMP = 1  # control flow: fn(regs) returns the next pc, or -1 to fall through
 HALT = 2
 TRAP = 3  # payload is the trap message
-BLOCK = 4  # fused straight-line block: one call executes many instructions
+BLOCK = 4  # straight-line block: fn(regs, lo, hi, partial) -> (time, work)
 
 
 class Backend:
@@ -54,11 +58,13 @@ class Backend:
         """Build (or fetch the cached) execution plan for ``program``."""
         raise NotImplementedError
 
-    def execute(self, machine, program, max_steps: int) -> None:
+    def execute(self, machine, program, max_steps: int, instrument=None) -> None:
         """Run ``program`` on ``machine``, leaving T/W on the machine.
 
-        Accounting flushes to ``machine.time`` / ``machine.work`` on every
-        exit path (normal, trap, error, step overrun).
+        Fetches the cached plan entries (seeding whatever per-run state the
+        blocks need) and hands them to :func:`run_plan`.  ``instrument``,
+        when given, maps the entry list to the one actually dispatched —
+        the profiler's hook for wrapping payloads; plain runs pass nothing.
         """
         raise NotImplementedError
 
@@ -92,19 +98,16 @@ def get_backend(name: str) -> Backend:
         ) from None
 
 
-def resolve_backend(backend=None, program=None, fuse: bool = True) -> Backend:
+def resolve_backend(backend=None, program=None) -> Backend:
     """The backend to run with, per the module-docstring precedence order."""
     if isinstance(backend, Backend):
         return backend
     if backend is None:
-        if not fuse:
-            backend = "interp"
-        else:
-            backend = (
-                getattr(program, "backend", None)
-                or os.environ.get("REPRO_BACKEND")
-                or "fused"
-            )
+        backend = (
+            getattr(program, "backend", None)
+            or os.environ.get("REPRO_BACKEND")
+            or "fused"
+        )
     return get_backend(backend)
 
 
@@ -130,5 +133,76 @@ def format_listing(program, group_of=None) -> str:
 
 
 def step_budget_error(max_steps: int) -> BVRAMError:
-    """The uniform ``max_steps`` overrun trap every backend raises."""
+    """The ``max_steps`` overrun trap, worded as the traced loop words it."""
     return BVRAMError(f"exceeded {max_steps} steps (non-terminating program?)")
+
+
+def run_plan(machine, plan, max_steps: int, lo=None, hi=None) -> None:
+    """The untraced dispatch loop: one call per block, exact T/W accounting.
+
+    ``plan`` is a list of ``(kind, payload, extra)`` entries: ``BLOCK``
+    carries ``(fn, instruction count)``, ``JUMP`` ``(fn, rw registers)``,
+    ``HALT``/``TRAP`` are charged here without a call.  ``lo``/``hi`` are
+    the per-register interval bounds generated blocks thread through the
+    run; closure blocks ignore them.
+
+    Parity with the traced loop: each instruction is charged 1 time unit
+    plus the post-execution lengths of its read/written registers, summed
+    per block inside the block function.  A block whose ``j``-th instruction
+    raises reports the totals of its first ``j - 1`` through ``partial``
+    (the raising instruction is not charged), ``trap`` is charged before
+    raising, and a step budget that expires mid-block drives the block's
+    per-instruction closures (``fn.steps``) so the run stops and charges at
+    exactly the instruction the traced loop stops at.  The totals and the
+    exit ``pc`` (one past the last entry fetched, or a taken jump's target)
+    are flushed to the machine on every exit path.
+    """
+    regs = machine.registers
+    n = len(plan)
+    pc = 0
+    steps = 0
+    time = 0
+    work = 0
+    partial = [0, 0]
+    try:
+        while pc < n:
+            if steps >= max_steps:
+                raise step_budget_error(max_steps)
+            kind, payload, extra = plan[pc]
+            pc += 1
+            if kind == BLOCK:
+                if steps + extra > max_steps:
+                    for fn, rw in payload.steps[: max_steps - steps]:
+                        fn(regs)
+                        time += 1
+                        for r in rw:
+                            work += regs[r].size
+                    raise step_budget_error(max_steps)
+                steps += extra
+                try:
+                    t, w = payload(regs, lo, hi, partial)
+                except BaseException:
+                    time += partial[0]
+                    work += partial[1]
+                    raise
+                time += t
+                work += w
+            elif kind == JUMP:
+                steps += 1
+                target = payload(regs)
+                time += 1
+                for r in extra:
+                    work += regs[r].size
+                if target >= 0:
+                    pc = target
+            elif kind == HALT:
+                steps += 1
+                time += 1
+                break
+            else:  # TRAP
+                time += 1
+                raise BVRAMError(payload)
+    finally:
+        machine.time = time
+        machine.work = work
+        machine.exit_pc = pc

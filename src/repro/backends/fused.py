@@ -1,8 +1,9 @@
-"""The ``fused`` backend: superinstructions over the interp plan (PR 4).
+"""The ``fused`` backend: superinstructions over the closure table.
 
 Maximal straight-line runs of non-jump instructions execute as one *fused*
 step function — a single dispatch per block instead of one per instruction —
-with the ``T``/``W`` totals accumulated inside the closure.
+with the ``T``/``W`` totals accumulated inside the closure.  The plan is
+cheap to build (no code generation), which is why this is the default tier.
 
 Block boundaries are forced by control flow only:
 
@@ -31,16 +32,14 @@ block boundaries.
 from __future__ import annotations
 
 from ..bvram import isa
-from ..bvram.errors import BVRAMError
 from .base import (
     BLOCK,
-    HALT,
     JUMP,
     STEP,
     Backend,
     format_listing,
     register_backend,
-    step_budget_error,
+    run_plan,
 )
 from .interp import plan_for
 from .registry import PlanCache
@@ -49,26 +48,15 @@ from .registry import PlanCache
 def make_block(steps: list[tuple]) -> tuple:
     """Fuse ``(kernel, rw)`` pairs into one step closure.
 
-    The closure returns ``(time, work)`` for the whole block; if a kernel
-    raises, the totals of the completed prefix are written into ``partial``
-    before the exception propagates.
+    The closure takes the block signature of :func:`~.base.run_plan`
+    (``lo``/``hi`` are the vector tier's interval bounds, unused here) and
+    returns ``(time, work)`` for the whole block; if a kernel raises, the
+    totals of the completed prefix are written into ``partial`` before the
+    exception propagates.
     """
     k = len(steps)
-    if k == 1:
-        fn, rw = steps[0]
 
-        def fused_one(regs, partial, fn=fn, rw=rw):
-            fn(regs)
-            w = 0
-            for r in rw:
-                w += regs[r].size
-            return 1, w
-
-        # a raising kernel leaves partial untouched: zero completed steps
-        fused_one.steps = (steps[0],)
-        return fused_one, 1
-
-    def fused(regs, partial, steps=tuple(steps), k=k):
+    def fused(regs, lo, hi, partial, steps=tuple(steps), k=k):
         t = 0
         w = 0
         try:
@@ -83,8 +71,8 @@ def make_block(steps: list[tuple]) -> tuple:
             raise
         return k, w
 
-    # the executor drives the block per-instruction through this attribute
-    # when the step budget would expire mid-block (exact max_steps parity)
+    # run_plan drives the block per-instruction through this attribute when
+    # the step budget would expire mid-block (exact max_steps parity)
     fused.steps = tuple(steps)
     return fused, k
 
@@ -179,11 +167,6 @@ def build_fused_plan(program: isa.Program) -> list[tuple]:
 _CACHE = PlanCache("_fused_plan", build_fused_plan)
 
 
-def fused_plan_for(program: isa.Program) -> list[tuple]:
-    """Build (or fetch the cached) fused plan for ``program``."""
-    return _CACHE.lookup(program)
-
-
 class FusedBackend(Backend):
     """Superinstruction dispatch: one closure call per straight-line block."""
 
@@ -191,71 +174,13 @@ class FusedBackend(Backend):
     cache_attr = _CACHE.attr
 
     def plan(self, program):
-        return fused_plan_for(program)
+        return _CACHE.lookup(program)
 
-    def execute(self, machine, program, max_steps: int) -> None:
-        """The block-fused dispatch loop: one call per straight-line block.
-
-        Identical accounting to the interp backend — each instruction inside
-        a fused block is charged 1 time unit plus the post-execution lengths
-        of its read/written registers, summed per block in the fused
-        closure.  A block whose ``j``-th instruction raises reports the
-        totals of its first ``j - 1`` instructions through the shared
-        ``partial`` cell (the raising instruction itself is not charged,
-        matching the traced loop), so error-path totals stay bit-identical.
-        """
-        plan = fused_plan_for(program)
-        regs = machine.registers
-        n = len(plan)
-        pc = 0
-        steps = 0
-        time = 0
-        work = 0
-        partial = [0, 0]
-        try:
-            while pc < n:
-                if steps >= max_steps:
-                    raise step_budget_error(max_steps)
-                kind, payload, extra = plan[pc]
-                pc += 1
-                if kind == BLOCK:
-                    if steps + extra > max_steps:
-                        # the budget expires mid-block: drive the block
-                        # per-instruction so the run stops (and charges) at
-                        # exactly the instruction the unfused loop stops at
-                        for fn, rw in payload.steps[: max_steps - steps]:
-                            fn(regs)
-                            time += 1
-                            for r in rw:
-                                work += regs[r].size
-                        raise step_budget_error(max_steps)
-                    steps += extra
-                    try:
-                        t, w = payload(regs, partial)
-                    except BaseException:
-                        time += partial[0]
-                        work += partial[1]
-                        raise
-                    time += t
-                    work += w
-                elif kind == JUMP:
-                    steps += 1
-                    target = payload(regs)
-                    time += 1
-                    for r in extra:
-                        work += regs[r].size
-                    if target >= 0:
-                        pc = target
-                elif kind == HALT:
-                    steps += 1
-                    time += 1
-                    break
-                else:  # TRAP
-                    time += 1
-                    raise BVRAMError(payload)
-        finally:
-            machine.time = time
-            machine.work = work
+    def execute(self, machine, program, max_steps: int, instrument=None) -> None:
+        plan = _CACHE.lookup(program)
+        if instrument is not None:
+            plan = instrument(plan)
+        run_plan(machine, plan, max_steps)
 
     def disassemble(self, program) -> str:
         base = plan_for(program)

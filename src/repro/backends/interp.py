@@ -1,13 +1,12 @@
-"""The ``interp`` backend: one Python closure per instruction.
+"""The per-op closure table: one Python closure per instruction.
 
-This is the untraced fast path as it existed before block fusion (PR 3):
-the program is pre-compiled once into a threaded plan of per-instruction
-closures, no :class:`~repro.bvram.machine.TraceEntry` objects are allocated,
-and the ``T``/``W`` counters accumulate in locals flushed back on every
-exit.  It remains the reference implementation the other backends build on
-— the fused and vector builders both start from :func:`plan_for`'s
-``(kind, payload, rw)`` entries, and their mid-block ``max_steps`` fallback
-drives these very closures.
+Not an execution tier of its own — :func:`plan_for` compiles a program into
+``(kind, payload, rw)`` entries, one per instruction, that the ``fused``
+backend groups into blocks and that the shared dispatch loop drives one by
+one when a step budget expires mid-block (both tiers, so ``max_steps``
+stops at the identical instruction).  No
+:class:`~repro.bvram.machine.TraceEntry` objects are allocated, and a
+closure that raises leaves its instruction uncharged, as in the traced loop.
 """
 
 from __future__ import annotations
@@ -17,16 +16,7 @@ import numpy as np
 from ..bvram import isa
 from ..bvram.errors import BVRAMError
 from . import kernels
-from .base import (
-    HALT,
-    JUMP,
-    STEP,
-    TRAP,
-    Backend,
-    format_listing,
-    register_backend,
-    step_budget_error,
-)
+from .base import HALT, JUMP, STEP, TRAP
 from .registry import PlanCache
 
 
@@ -35,8 +25,8 @@ def build_plan(program: isa.Program) -> list[tuple]:
 
     ``rw`` is the concatenation of the instruction's read and written
     register indices — exactly the registers the traced loop's ``_charge``
-    sums over — so the fast loop can account work without re-deriving them
-    every step.
+    sums over — so blocks can account work without re-deriving them every
+    step.
     """
     labels = program.labels
     plan: list[tuple] = []
@@ -117,11 +107,17 @@ def build_plan(program: isa.Program) -> list[tuple]:
             plan.append((STEP, step, rw))
         elif isinstance(instr, isa.LoadConst):
             if instr.value < 0:
-                raise BVRAMError("load_const: BVRAM registers hold natural numbers")
-            dst, arr = instr.dst, np.array([instr.value], dtype=np.int64)
+                # traps when executed, uncharged, as in the traced loop — not
+                # at plan build, which would refuse programs that never reach it
 
-            def step(regs, dst=dst, arr=arr):
-                regs[dst] = arr.copy()
+                def step(regs):
+                    raise BVRAMError("load_const: BVRAM registers hold natural numbers")
+
+            else:
+                dst, arr = instr.dst, np.array([instr.value], dtype=np.int64)
+
+                def step(regs, dst=dst, arr=arr):
+                    regs[dst] = arr.copy()
 
             plan.append((STEP, step, rw))
         elif isinstance(instr, isa.BmRoute):
@@ -189,64 +185,3 @@ _CACHE = PlanCache("_fast_plan", build_plan)
 def plan_for(program: isa.Program) -> list[tuple]:
     """Build (or fetch the cached) per-instruction plan for ``program``."""
     return _CACHE.lookup(program)
-
-
-class InterpBackend(Backend):
-    """Per-instruction closure dispatch (the PR 3 untraced loop)."""
-
-    name = "interp"
-    cache_attr = _CACHE.attr
-
-    def plan(self, program):
-        return plan_for(program)
-
-    def execute(self, machine, program, max_steps: int) -> None:
-        """The fast dispatch loop: threaded plan, local T/W accumulators.
-
-        Accounting parity with the traced loop: a raising instruction is not
-        charged (the traced loop charges after executing), ``trap`` is
-        charged before raising, and the accumulated totals are flushed back
-        to the machine on every exit path.
-        """
-        plan = plan_for(program)
-        regs = machine.registers
-        n = len(plan)
-        pc = 0
-        steps = 0
-        time = 0
-        work = 0
-        try:
-            while pc < n:
-                if steps >= max_steps:
-                    raise step_budget_error(max_steps)
-                steps += 1
-                kind, payload, rw = plan[pc]
-                pc += 1
-                if kind == STEP:
-                    payload(regs)
-                    time += 1
-                    for r in rw:
-                        work += regs[r].size
-                elif kind == JUMP:
-                    target = payload(regs)
-                    time += 1
-                    for r in rw:
-                        work += regs[r].size
-                    if target >= 0:
-                        pc = target
-                elif kind == HALT:
-                    time += 1
-                    break
-                else:  # TRAP
-                    time += 1
-                    raise BVRAMError(payload)
-        finally:
-            machine.time = time
-            machine.work = work
-
-    def disassemble(self, program) -> str:
-        self.plan(program)  # surface build-time errors exactly like a run
-        return format_listing(program)
-
-
-INTERP = register_backend(InterpBackend())

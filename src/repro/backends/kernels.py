@@ -1,11 +1,10 @@
 """The per-op vector kernels and overflow guards, shared by every backend.
 
 One definition per BVRAM operation, used by the traced interpreter loop, the
-``interp`` closure plans, the ``fused`` superinstructions and the generated
-code of the ``vector`` backend.  Before PR 6 these lived in
-``repro.bvram.machine`` (with the overflow discipline re-stated in
-``fuse``); they now sit below the machine so the backends can import them
-without a cycle (``bvram.errors <- backends.kernels <- bvram.machine``).
+per-op closure table the ``fused`` superinstructions group, and the
+generated code of the ``vector`` backend.  They sit below the machine so the
+backends can import them without a cycle (``bvram.errors <- backends.kernels
+<- bvram.machine``).
 
 Semantics are exactly the Section 2 machine's:
 

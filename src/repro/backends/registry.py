@@ -1,11 +1,8 @@
 """One fork-safe home for every lazily-built execution cache.
 
-PRs 3-5 each grew a private ``threading.Lock`` plus its own
-``os.register_at_fork`` handler (``machine._reinit_plan_lock``,
-``fuse._reinit_fuse_lock``, the batched-twin lock in
-``repro.compiler.batch``).  Three copies of the same idiom is two too many,
-and a fourth was about to appear for the vector backend's plan cache.  This
-module is the single replacement:
+Every plan cache (closure table, fused plan, vector plan, profiler metadata)
+and the batched-twin cache in ``repro.compiler.batch`` needs a lock that
+survives ``os.fork``; this module is the one implementation they share:
 
 * :class:`ForkSafeLock` — a ``threading.Lock`` that re-initialises itself in
   forked children.  ``os.fork`` copies a lock in whatever state the forking
@@ -103,8 +100,8 @@ class PlanCache:
     a miss takes the cache's own :class:`ForkSafeLock`, re-checks, and
     builds at most once per program generation.
 
-    Nested lookups (the fused and vector builders call the interp cache for
-    the base plan) are safe because every cache has its *own* lock and the
+    Nested lookups (the fused and vector builders call the closure-table
+    cache for the base plan) are safe because every cache has its *own* lock and the
     build dependencies are acyclic — the acquisition order is fixed by the
     builder chain, so plain non-reentrant locks suffice.
     """

@@ -36,34 +36,26 @@ charged 1 time unit plus the post-execution sizes of its read and written
 registers *immediately* after it executes (``t = k``/``w +=`` lines in the
 generated source), and a raising instruction leaves ``t``/``w`` at the
 completed-prefix totals, reported through the shared ``partial`` cell —
-exactly the fused backend's protocol.  Blocks, plan indices and the
-``max_steps`` mid-block fallback (driving the interp closures) are shared
-with :mod:`repro.backends.fused`, so step budgets stop at the identical
-instruction.
-
-``vector-jit`` is the same generator with the numba-compiled kernels of
-:mod:`repro.backends.jit` spliced into the exec namespace when numba is
-importable; without numba it falls back to the pure-NumPy namespace and is
-behaviourally identical to ``vector``.
+exactly the fused backend's protocol.  Blocks, plan indices, the dispatch
+loop (:func:`~repro.backends.base.run_plan`) and its ``max_steps`` mid-block
+fallback (driving the closure table) are shared with
+:mod:`repro.backends.fused`, so step budgets stop at the identical
+instruction.  What this tier pays for its faster blocks is the plan build:
+generating and ``exec``-ing the source cost 421 ms against the fused plan's
+4.9 ms on the benchmark's ``compile_sorts`` (``bench/out/baseline.json``).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ..bvram import isa
 from ..bvram.errors import BVRAMError
-from . import jit, kernels
-from .base import (
-    BLOCK,
-    HALT,
-    JUMP,
-    Backend,
-    register_backend,
-    step_budget_error,
-)
+from . import kernels
+from .base import BLOCK, JUMP, Backend, register_backend, run_plan
 from .fused import group_entries, jump_entry
 from .interp import plan_for
 from .registry import PlanCache
@@ -268,6 +260,8 @@ class _BlockGen:
             self.finish(d, instr, j, size="0")
         elif isinstance(instr, isa.LoadConst):
             d = instr.dst
+            if instr.value < 0:  # traps when executed, as in the traced loop
+                self.emit('raise _err("load_const: BVRAM registers hold natural numbers")')
             self.emit(f"v{d} = {self.const(instr.value)}")
             self.emit(f"_l = {instr.value}")
             self.emit("_h = _l")
@@ -446,7 +440,7 @@ def gen_block_source(
     return source, g.binit
 
 
-class VectorPlan:
+class VectorPlan(NamedTuple):
     """Entries in the fused-plan layout plus the generated module source.
 
     ``binit`` is the union over blocks of registers whose bounds are read
@@ -454,17 +448,14 @@ class VectorPlan:
     start — every other slot gets the sound vacuous interval.
     """
 
-    __slots__ = ("entries", "source", "binit")
-
-    def __init__(self, entries: list[tuple], source: str, binit: tuple[int, ...]) -> None:
-        self.entries = entries
-        self.source = source
-        self.binit = binit
+    entries: list[tuple]
+    source: str
+    binit: tuple[int, ...]
 
 
-def build_vector_plan(program: isa.Program, use_jit: bool = False) -> VectorPlan:
+def build_vector_plan(program: isa.Program) -> VectorPlan:
     """Generate, compile and link the vector plan for ``program``."""
-    base = plan_for(program)  # also surfaces build-time errors (negative const)
+    base = plan_for(program)
     groups, entry_target = group_entries(program, base)
     consts: dict[int, str] = {}
     parts: list[str] = []
@@ -482,8 +473,6 @@ def build_vector_plan(program: isa.Program, use_jit: bool = False) -> VectorPlan
         binit |= blk_binit
     source = "\n".join(parts)
     ns = dict(_NAMESPACE)
-    if use_jit:
-        ns.update(jit.jit_kernels())
     for value, cname in consts.items():
         ns[cname] = np.array([value], dtype=np.int64)
     exec(compile(source, "<repro-vector-plan>", "exec"), ns)
@@ -492,8 +481,8 @@ def build_vector_plan(program: isa.Program, use_jit: bool = False) -> VectorPlan
         first = idxs[0]
         if kind == BLOCK:
             fn = ns[block_names[gi]]
-            # the executor drives the interp closures through this attribute
-            # when the step budget expires mid-block (exact max_steps parity)
+            # run_plan drives the closure table through this attribute when
+            # the step budget expires mid-block (exact max_steps parity)
             fn.steps = tuple((base[j][1], base[j][2]) for j in idxs)
             entries.append((BLOCK, fn, len(idxs)))
         elif kind == JUMP:
@@ -503,29 +492,30 @@ def build_vector_plan(program: isa.Program, use_jit: bool = False) -> VectorPlan
     return VectorPlan(entries, source, tuple(sorted(binit)))
 
 
+_CACHE = PlanCache("_vector_plan", build_vector_plan)
+
+
 class VectorBackend(Backend):
     """Generated mega-kernel execution with interval-bound guard elision."""
 
-    def __init__(self, name: str, cache_attr: str, use_jit: bool = False) -> None:
-        self.name = name
-        self.cache_attr = cache_attr
-        self.use_jit = use_jit
-        self._cache = PlanCache(
-            cache_attr, lambda program: build_vector_plan(program, use_jit=use_jit)
-        )
+    name = "vector"
+    cache_attr = _CACHE.attr
 
     def plan(self, program) -> VectorPlan:
-        return self._cache.lookup(program)
+        return _CACHE.lookup(program)
 
-    def execute(self, machine, program, max_steps: int) -> None:
-        vplan = self._cache.lookup(program)
+    def execute(self, machine, program, max_steps: int, instrument=None) -> None:
+        vplan = _CACHE.lookup(program)
         plan = vplan.entries
+        if instrument is not None:
+            plan = instrument(plan)
         regs = machine.registers
         # only registers whose bounds some block reads before writing need
         # exact seeding; the rest get the vacuous (sound) full interval and
         # are overwritten by block writeback before any possible read
-        lo = [0] * len(regs)
-        hi = [kernels.INT64_LIMIT - 1] * len(regs)
+        n_regs = len(regs)
+        lo = [0] * n_regs
+        hi = [kernels.INT64_LIMIT - 1] * n_regs
         for i in vplan.binit:
             r = regs[i]
             if r.size:
@@ -533,60 +523,10 @@ class VectorBackend(Backend):
                 hi[i] = int(r.max())
             else:
                 hi[i] = 0
-        n = len(plan)
-        pc = 0
-        steps = 0
-        time = 0
-        work = 0
-        partial = [0, 0]
-        try:
-            while pc < n:
-                if steps >= max_steps:
-                    raise step_budget_error(max_steps)
-                kind, payload, extra = plan[pc]
-                pc += 1
-                if kind == BLOCK:
-                    if steps + extra > max_steps:
-                        # budget expires mid-block: drive the interp closures
-                        # so the run stops (and charges) at exactly the
-                        # instruction the unfused loop stops at
-                        for fn, rw in payload.steps[: max_steps - steps]:
-                            fn(regs)
-                            time += 1
-                            for r in rw:
-                                work += regs[r].size
-                        raise step_budget_error(max_steps)
-                    steps += extra
-                    try:
-                        t, w = payload(regs, lo, hi, partial)
-                    except BaseException:
-                        time += partial[0]
-                        work += partial[1]
-                        raise
-                    time += t
-                    work += w
-                elif kind == JUMP:
-                    steps += 1
-                    target = payload(regs)
-                    time += 1
-                    for r in extra:
-                        work += regs[r].size
-                    if target >= 0:
-                        pc = target
-                elif kind == HALT:
-                    steps += 1
-                    time += 1
-                    break
-                else:  # TRAP
-                    time += 1
-                    raise BVRAMError(payload)
-        finally:
-            machine.time = time
-            machine.work = work
+        run_plan(machine, plan, max_steps, lo, hi)
 
     def disassemble(self, program) -> str:
         return self.plan(program).source
 
 
-VECTOR = register_backend(VectorBackend("vector", "_vector_plan"))
-VECTOR_JIT = register_backend(VectorBackend("vector-jit", "_vector_jit_plan", use_jit=True))
+VECTOR = register_backend(VectorBackend())

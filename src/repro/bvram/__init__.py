@@ -6,7 +6,7 @@
 """
 
 from .isa import Program
-from .machine import BVRAM, BVRAMError, RunResult, TraceEntry, bm_route_vec, run_program, sbm_route_vec
+from .machine import BVRAM, BVRAMError, RunResult, TraceEntry, run_program
 
 __all__ = [
     "Program",
@@ -14,7 +14,5 @@ __all__ = [
     "BVRAMError",
     "RunResult",
     "TraceEntry",
-    "bm_route_vec",
-    "sbm_route_vec",
     "run_program",
 ]

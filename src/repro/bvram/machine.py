@@ -16,17 +16,15 @@ Execution has two modes:
   into a plan (cached on the program object), no :class:`TraceEntry`
   objects are allocated, and the ``T``/``W`` counters accumulate in locals
   flushed back at every exit (normal, trap, or error).  ``backend=``
-  selects the strategy (``interp`` / ``fused`` / ``vector`` / ...);
-  ``fuse=False`` keeps its historical meaning of the per-instruction
-  ``interp`` plan.  In every mode the totals are **bit-identical** to a
-  traced run of the same program — each executed instruction is charged 1
-  time unit plus the post-execution lengths of its read and written
-  registers — which ``tests/test_optimize.py``, ``tests/test_backends.py``
-  and ``tests/test_batch.py`` pin.
+  selects the tier (``fused`` / ``vector``).  In every mode the totals are
+  **bit-identical** to a traced run of the same program — each executed
+  instruction is charged 1 time unit plus the post-execution lengths of its
+  read and written registers — which ``tests/test_optimize.py``,
+  ``tests/test_backends.py`` and ``tests/test_batch.py`` pin.
 
-The per-op vector kernels live in :mod:`repro.backends.kernels` (shared by
-the traced loop here and by every backend); this module re-exports them
-under their historical private names for compatibility.
+The traced loop below is the reference every backend is compared against;
+the per-op vector kernels it calls live in :mod:`repro.backends.kernels`,
+shared with the backends.
 """
 
 from __future__ import annotations
@@ -39,54 +37,20 @@ import numpy as np
 from . import isa
 from .errors import BVRAMError
 
-# The kernels are shared with the backends; ``repro.backends.kernels`` is a
-# leaf module (it imports only ``repro.bvram.errors``), so this import is
-# cycle-free in either package-entry order.  ``repro.backends.base`` is NOT
-# — it is mid-execution when ``import repro.backends`` reaches this module —
-# so backend resolution below is imported lazily at call time.
-from ..backends import kernels as _kernels
-
-# -- historical aliases (tests and downstream modules import these) ---------
-_INT64_LIMIT = _kernels.INT64_LIMIT
-_arith_add = _kernels.arith_add
-_arith_sub = _kernels.arith_sub
-_arith_mul = _kernels.arith_mul
-_arith_div = _kernels.arith_div
-_arith_mod = _kernels.arith_mod
-_arith_shr = _kernels.arith_shr
-_ARITH_FNS = _kernels.ARITH_KERNELS
-_arith = _kernels.arith
-_un_arith = _kernels.un_arith
-flag_merge_vec = _kernels.flag_merge_vec
-_check_segments = _kernels.check_segments
-_checked_cumsum = _kernels.checked_cumsum
-seg_scan_vec = _kernels.seg_scan_vec
-seg_reduce_vec = _kernels.seg_reduce_vec
-bm_route_vec = _kernels.bm_route_vec
-sbm_route_vec = _kernels.sbm_route_vec
-
-#: plan entry kinds — canonical home is :mod:`repro.backends.base`; the
-#: values are re-stated literally here (not imported) for the same
-#: import-order reason as above
-_STEP = 0
-_JUMP = 1
-_HALT = 2
-_TRAP = 3
-_BLOCK = 4
-
-
-def _build_plan(program: isa.Program) -> list[tuple]:
-    """Back-compat alias for :func:`repro.backends.interp.build_plan`."""
-    from ..backends.interp import build_plan
-
-    return build_plan(program)
-
-
-def _plan_for(program: isa.Program) -> list[tuple]:
-    """Back-compat alias for :func:`repro.backends.interp.plan_for`."""
-    from ..backends.interp import plan_for
-
-    return plan_for(program)
+# ``repro.backends.kernels`` is a leaf module (it imports only
+# ``repro.bvram.errors``), so this import is cycle-free in either
+# package-entry order.  ``repro.backends.base`` is NOT — it is mid-execution
+# when ``import repro.backends`` reaches this module — so backend resolution
+# below is imported lazily at call time.
+from ..backends.kernels import (
+    arith as _arith,
+    bm_route_vec,
+    flag_merge_vec,
+    sbm_route_vec,
+    seg_reduce_vec,
+    seg_scan_vec,
+    un_arith as _un_arith,
+)
 
 
 @dataclass(frozen=True)
@@ -139,6 +103,9 @@ class BVRAM:
         self.time = 0
         self.work = 0
         self.trace: list[TraceEntry] = []
+        #: plan-entry index at which the last *untraced* run left the
+        #: dispatch loop (see :func:`repro.backends.base.run_plan`)
+        self.exit_pc = 0
 
     # -- register access ----------------------------------------------------
     def load(self, i: int, values: Sequence[int] | np.ndarray) -> None:
@@ -169,7 +136,6 @@ class BVRAM:
         inputs: Optional[Sequence[Sequence[int]]] = None,
         max_steps: int = 10_000_000,
         record_trace: bool = True,
-        fuse: bool = True,
         backend=None,
     ) -> RunResult:
         """Execute ``program`` and return the result with T/W counters.
@@ -179,12 +145,10 @@ class BVRAM:
         (``RunResult.trace`` comes back empty) and substantially less
         per-step interpreter overhead.  Which untraced engine runs is a
         :mod:`repro.backends` choice — ``backend=`` names one explicitly
-        (``"interp"``, ``"fused"``, ``"vector"``, ...), otherwise the
-        program's own ``backend`` attribute, the ``REPRO_BACKEND``
-        environment variable and finally the ``fused`` default apply, with
-        ``fuse=False`` keeping its historical meaning (the per-instruction
-        ``interp`` plan).  ``fuse`` and ``backend`` are ignored in traced
-        mode, which needs per-instruction entries.
+        (``"fused"`` or ``"vector"``), otherwise the program's own
+        ``backend`` attribute, the ``REPRO_BACKEND`` environment variable
+        and finally the ``fused`` default apply.  ``backend`` is ignored in
+        traced mode, which needs per-instruction entries.
         """
         program.validate()
         if program.n_registers > self.n_registers:
@@ -205,7 +169,7 @@ class BVRAM:
         if not record_trace:
             from ..backends.base import resolve_backend
 
-            engine = resolve_backend(backend, program=program, fuse=fuse)
+            engine = resolve_backend(backend, program=program)
             engine.execute(self, program, max_steps)
             return RunResult(
                 registers=[r.copy() for r in self.registers],
@@ -330,18 +294,6 @@ class BVRAM:
             work=self.work,
             trace=list(self.trace),
         )
-
-    def _run_untraced(self, program: isa.Program, max_steps: int) -> None:
-        """Back-compat: the ``interp`` backend's dispatch loop."""
-        from ..backends.interp import INTERP
-
-        INTERP.execute(self, program, max_steps)
-
-    def _run_fused(self, program: isa.Program, max_steps: int) -> None:
-        """Back-compat: the ``fused`` backend's dispatch loop."""
-        from ..backends.fused import FUSED
-
-        FUSED.execute(self, program, max_steps)
 
 
 def run_program(

@@ -103,8 +103,8 @@ class CompiledProgram(Program):
     the batched twin of a width-1 program on first use.
 
     ``backend`` pins the untraced execution backend for this program
-    (``"interp"`` / ``"fused"`` / ``"vector"`` / ...); ``None`` defers to
-    the ``REPRO_BACKEND`` environment variable and the ``fused`` default.
+    (``"fused"`` or ``"vector"``); ``None`` defers to the ``REPRO_BACKEND``
+    environment variable and the ``fused`` default.
     It is a plain string field, so — unlike the derived plans below — the
     choice *survives pickling*: a shard worker or serving lane receiving
     the program re-derives the plan of the selected backend.
@@ -128,7 +128,6 @@ class CompiledProgram(Program):
         "_fast_plan",
         "_fused_plan",
         "_vector_plan",
-        "_vector_jit_plan",
         "_batched_twin",
         "_batch_fallback_error",
         "_profile_meta",
@@ -241,8 +240,8 @@ class CompiledProgram(Program):
         """Profile one run: per-block hits, wall time and exact T'/W' attribution.
 
         Executes like an untraced ``run()`` (same backend selection, same
-        cached plan) through the attributing dispatch loop of
-        :mod:`repro.obs.profile` and returns a
+        cached plan, same dispatch loop) with the attributing wrappers of
+        :mod:`repro.obs.profile` in place and returns a
         :class:`~repro.obs.profile.ProfileReport` — ``report.table()`` is
         the sorted hot-block table, each row's ``source_line`` indexes into
         ``report.listing`` (the instruction listing ``disassemble()``
@@ -263,9 +262,10 @@ class CompiledProgram(Program):
     def disassemble(self, backend: Optional[str] = None) -> str:
         """The selected backend's plan listing / generated source for this program.
 
-        ``interp`` and ``fused`` return an annotated instruction listing;
-        ``vector`` returns the generated Python source of its mega-op block
-        functions.  Defaults to the same backend a ``run()`` would select.
+        ``fused`` returns an instruction listing annotated with its block
+        boundaries; ``vector`` returns the generated Python source of its
+        mega-op block functions.  Defaults to the same backend a ``run()``
+        would select.
         """
         from ..backends import resolve_backend
 

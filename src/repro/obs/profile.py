@@ -1,23 +1,26 @@
 """Per-block execution profiling with exact ``T'``/``W'`` attribution.
 
-The backends report only run *totals*; this module attributes them.  A
-profiled run executes the program's **normal cached plan** (interp, fused
-or vector — the very closures/generated blocks a plain run dispatches)
-through a mirrored dispatch loop that additionally accumulates, per plan
-entry: hit count, wall time, and the exact Definition 3.1 ``T'``/``W'``
-charges.  Because the attribution accumulates *the same* per-block
-``(t, w)`` values the backend loop folds into its totals — including the
-``partial``-cell flush when a block raises mid-stream, the charged ``trap``,
-and the per-instruction ``max_steps`` mid-block fallback — the per-entry
-sums are bit-identical to the machine totals by construction, on every exit
-path.  The differential battery pins this (``tests/test_obs.py``).
+The backends report only run *totals*; this module attributes them.  It
+owns no dispatch loop: a profiled run executes the program's **normal
+cached plan** (the very closures/generated blocks a plain run dispatches)
+through the backends' one loop, :func:`repro.backends.base.run_plan`, with
+every callable payload — block, jump, and the per-step closures behind a
+block's ``.steps`` — wrapped to record, per plan entry: hit count, wall
+time, and the exact ``(t, w)`` the payload hands the loop (returned, left in
+``partial`` when a block raises mid-stream, or charged step by step in the
+``max_steps`` mid-block fallback).  The one charge the loop makes without a
+call, the final ``halt``/``trap`` unit, is attributed from the exit ``pc``
+the loop records.  Nothing here depends on which backend built the plan, so
+every registered tier is profilable, and the per-entry sums equal the
+machine totals on every exit path (``tests/test_obs.py`` pins it over the
+differential battery).
 
-Profiling is opt-in per run: the plain ``run()`` path is untouched (its
-dispatch loops carry no hooks), and the profiler's own derived state — the
-block grouping and the ``disassemble()`` line map — is cached on the
-program under ``_profile_meta`` exactly like the execution plans
-(:class:`~repro.backends.registry.PlanCache`; listed in
-``CompiledProgram._CACHE_ATTRS`` so it never crosses a pickle boundary).
+Profiling is opt-in per run: plain runs pass no ``instrument`` hook and pay
+nothing, and the profiler's own derived state — the block grouping and the
+listing line map — is cached on the program under ``_profile_meta`` exactly
+like the execution plans (:class:`~repro.backends.registry.PlanCache`;
+listed in ``CompiledProgram._CACHE_ATTRS`` so it never crosses a pickle
+boundary).
 
 Front door::
 
@@ -25,7 +28,7 @@ Front door::
     print(report.table())                    # sorted hot-block table
     report.blocks[0].source_line             # 1-based line in report.listing
 
-``report.listing`` is the interp ``disassemble()`` text; each
+``report.listing`` is the labelled instruction listing; each
 :class:`BlockStat.source_line` is the 1-based line of the entry's first
 instruction in it, so the hot-block table links straight back to the code.
 """
@@ -38,24 +41,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..backends import kernels
-from ..backends.base import (
-    BLOCK,
-    HALT,
-    JUMP,
-    STEP,
-    format_listing,
-    resolve_backend,
-    step_budget_error,
-)
+from ..backends.base import BLOCK, HALT, JUMP, TRAP, format_listing, resolve_backend
 from ..backends.fused import group_entries
 from ..backends.interp import plan_for
 from ..backends.registry import PlanCache
-from ..backends.vector import VectorPlan
 from ..bvram.errors import BVRAMError
 from ..bvram.machine import BVRAM
 
-_KIND_NAMES = {STEP: "step", JUMP: "jump", HALT: "halt", BLOCK: "block", 3: "trap"}
+_KIND_NAMES = {JUMP: "jump", HALT: "halt", TRAP: "trap", BLOCK: "block"}
 
 
 def listing_line_numbers(program) -> dict[int, int]:
@@ -75,25 +68,16 @@ def listing_line_numbers(program) -> dict[int, int]:
     return line_of
 
 
-class ProfileMeta:
-    """Cached profiling metadata: block grouping + listing line map."""
-
-    __slots__ = ("groups", "line_of")
-
-    def __init__(self, groups, line_of) -> None:
-        self.groups = groups
-        self.line_of = line_of
-
-
-def _build_meta(program) -> ProfileMeta:
+def _build_meta(program) -> tuple:
+    """``(block grouping, listing line map)`` — the profiler's derived state."""
     groups, _ = group_entries(program, plan_for(program))
-    return ProfileMeta(groups, listing_line_numbers(program))
+    return groups, listing_line_numbers(program)
 
 
 _META_CACHE = PlanCache("_profile_meta", _build_meta)
 
 
-def meta_for(program) -> ProfileMeta:
+def meta_for(program) -> tuple:
     """Build (or fetch the cached) profiling metadata for ``program``."""
     return _META_CACHE.lookup(program)
 
@@ -103,7 +87,7 @@ class BlockStat:
     """One plan entry's attribution: hits, wall time and exact T'/W'."""
 
     entry: int  #: plan-entry index (matches the fused/vector disassembly)
-    kind: str  #: "block" / "jump" / "halt" / "trap" / "step"
+    kind: str  #: "block" / "jump" / "halt" / "trap"
     first: int  #: first covered instruction index
     last: int  #: last covered instruction index
     hits: int = 0
@@ -180,162 +164,103 @@ def _code_snippet(instr, width: int = 48) -> str:
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def _run_grouped(machine, entries, max_steps, hits, tacc, wacc, wall, lo=None, hi=None):
-    """The fused/vector dispatch loop with per-entry attribution.
+class _Attribution:
+    """Per-entry accumulators plus the payload wrappers that fill them."""
 
-    Mirrors ``FusedBackend.execute`` / ``VectorBackend.execute`` statement
-    for statement — same charge order, same ``partial`` flush, same
-    mid-block ``max_steps`` fallback — with every charge additionally
-    folded into the entry's accumulator slot.  ``lo``/``hi`` non-None
-    selects the vector block-call signature.
-    """
-    regs = machine.registers
-    n = len(entries)
-    pc = 0
-    steps = 0
-    time = 0
-    work = 0
-    partial = [0, 0]
-    vec = lo is not None
-    try:
-        while pc < n:
-            if steps >= max_steps:
-                raise step_budget_error(max_steps)
-            kind, payload, extra = entries[pc]
-            ei = pc
-            pc += 1
+    def __init__(self, n_entries: int) -> None:
+        self.hits = [0] * n_entries
+        self.time = [0] * n_entries
+        self.work = [0] * n_entries
+        self.wall = [0.0] * n_entries
+        self.entries: list[tuple] = []
+        #: where the last payload to complete sent control; the loop fetched
+        #: one more entry after that iff its exit pc is one past this
+        self.next_pc = 0
+
+    def instrument(self, entries: list[tuple]) -> list[tuple]:
+        """The ``Backend.execute`` hook: the plan with every payload wrapped."""
+        self.entries = entries
+        wrapped = []
+        for ei, (kind, payload, extra) in enumerate(entries):
             if kind == BLOCK:
-                if steps + extra > max_steps:
-                    # budget expires mid-block: drive the interp closures so
-                    # the run stops (and charges) at exactly the instruction
-                    # the unfused loop stops at — attributed to this block
+                payload = self._block(ei, payload)
+            elif kind == JUMP:
+                payload = self._jump(ei, payload, extra)
+            wrapped.append((kind, payload, extra))
+        return wrapped
+
+    def _block(self, ei: int, fn):
+        hits, time, work, wall = self.hits, self.time, self.work, self.wall
+
+        def block(regs, lo, hi, partial):
+            hits[ei] += 1
+            t0 = perf_counter()
+            try:
+                t, w = fn(regs, lo, hi, partial)
+            except BaseException:
+                t, w = partial
+                raise
+            finally:
+                wall[ei] += perf_counter() - t0
+                time[ei] += t
+                work[ei] += w
+            self.next_pc = ei + 1
+            return t, w
+
+        def step(kernel, rw, first):
+            # the mid-block budget fallback: the loop calls these instead of
+            # ``block`` and charges each completed one 1 + its rw sizes
+            def run(regs):
+                if first:  # the block is hit once, however many steps run
                     hits[ei] += 1
-                    t0 = perf_counter()
-                    try:
-                        for fn, rw in payload.steps[: max_steps - steps]:
-                            fn(regs)
-                            time += 1
-                            tacc[ei] += 1
-                            for r in rw:
-                                s = regs[r].size
-                                work += s
-                                wacc[ei] += s
-                    finally:
-                        wall[ei] += perf_counter() - t0
-                    raise step_budget_error(max_steps)
-                steps += extra
-                hits[ei] += 1
                 t0 = perf_counter()
                 try:
-                    if vec:
-                        t, w = payload(regs, lo, hi, partial)
-                    else:
-                        t, w = payload(regs, partial)
-                except BaseException:
+                    kernel(regs)
+                finally:
                     wall[ei] += perf_counter() - t0
-                    time += partial[0]
-                    work += partial[1]
-                    tacc[ei] += partial[0]
-                    wacc[ei] += partial[1]
-                    raise
-                wall[ei] += perf_counter() - t0
-                time += t
-                work += w
-                tacc[ei] += t
-                wacc[ei] += w
-            elif kind == JUMP:
-                steps += 1
-                hits[ei] += 1
-                t0 = perf_counter()
-                target = payload(regs)
-                time += 1
-                tacc[ei] += 1
-                for r in extra:
-                    s = regs[r].size
-                    work += s
-                    wacc[ei] += s
-                wall[ei] += perf_counter() - t0
-                if target >= 0:
-                    pc = target
-            elif kind == HALT:
-                steps += 1
-                hits[ei] += 1
-                time += 1
-                tacc[ei] += 1
-                break
-            else:  # TRAP: charged before raising, like every backend
-                hits[ei] += 1
-                time += 1
-                tacc[ei] += 1
-                raise BVRAMError(payload)
-    finally:
-        machine.time = time
-        machine.work = work
-
-
-def _run_flat(machine, plan, max_steps, hits, tacc, wacc, wall):
-    """The interp dispatch loop with per-instruction attribution."""
-    regs = machine.registers
-    n = len(plan)
-    pc = 0
-    steps = 0
-    time = 0
-    work = 0
-    try:
-        while pc < n:
-            if steps >= max_steps:
-                raise step_budget_error(max_steps)
-            steps += 1
-            kind, payload, rw = plan[pc]
-            ei = pc
-            pc += 1
-            if kind == STEP:
-                hits[ei] += 1
-                t0 = perf_counter()
-                payload(regs)
-                time += 1
-                tacc[ei] += 1
+                time[ei] += 1
                 for r in rw:
-                    s = regs[r].size
-                    work += s
-                    wacc[ei] += s
-                wall[ei] += perf_counter() - t0
-            elif kind == JUMP:
-                hits[ei] += 1
-                t0 = perf_counter()
-                target = payload(regs)
-                time += 1
-                tacc[ei] += 1
-                for r in rw:
-                    s = regs[r].size
-                    work += s
-                    wacc[ei] += s
-                wall[ei] += perf_counter() - t0
-                if target >= 0:
-                    pc = target
-            elif kind == HALT:
-                hits[ei] += 1
-                time += 1
-                tacc[ei] += 1
-                break
-            else:  # TRAP
-                hits[ei] += 1
-                time += 1
-                tacc[ei] += 1
-                raise BVRAMError(payload)
-    finally:
-        machine.time = time
-        machine.work = work
+                    work[ei] += regs[r].size
+
+            return run, rw
+
+        block.steps = tuple(
+            step(kernel, rw, j == 0) for j, (kernel, rw) in enumerate(fn.steps)
+        )
+        return block
+
+    def _jump(self, ei: int, fn, rw):
+        hits, time, work, wall = self.hits, self.time, self.work, self.wall
+
+        def jump(regs):
+            hits[ei] += 1
+            t0 = perf_counter()
+            target = fn(regs)
+            time[ei] += 1
+            for r in rw:
+                work[ei] += regs[r].size
+            wall[ei] += perf_counter() - t0
+            self.next_pc = target if target >= 0 else ei + 1
+            return target
+
+        return jump
+
+    def charge_exit(self, exit_pc: int) -> None:
+        """Attribute the ``halt``/``trap`` unit the loop charged without a call."""
+        ei = self.next_pc
+        if exit_pc == ei + 1 and self.entries[ei][0] in (HALT, TRAP):
+            self.hits[ei] += 1
+            self.time[ei] += 1
 
 
 def profile_run(program, inputs, max_steps: int = 10_000_000, backend=None) -> ProfileReport:
     """Profile one run of ``program`` on a pre-marshalled input-register image.
 
     Selects the backend like an untraced ``run()`` (explicit argument, then
-    the program's pin, ``REPRO_BACKEND``, the ``fused`` default) and drives
-    its normal cached plan through the attributing loop.  A trapping run
-    returns a report with ``error`` set and exact prefix totals instead of
-    raising; non-BVRAM exceptions propagate.
+    the program's pin, ``REPRO_BACKEND``, the ``fused`` default) and runs
+    its normal cached plan with the attributing wrappers in place.  A
+    trapping run returns a report with ``error`` set and exact prefix totals
+    instead of raising; non-BVRAM exceptions propagate.
     """
     engine = resolve_backend(backend, program=program)
     program.validate()
@@ -347,56 +272,18 @@ def profile_run(program, inputs, max_steps: int = 10_000_000, backend=None) -> P
     for i, values in enumerate(inputs):
         machine.load(i, values)
 
-    plan = engine.plan(program)
-    meta = meta_for(program)
-    if isinstance(plan, VectorPlan):
-        entries = plan.entries
-        groups = meta.groups
-        runner = "grouped-vec"
-    elif engine.name == "fused":
-        entries = plan
-        groups = meta.groups
-        runner = "grouped"
-    elif engine.name == "interp":
-        entries = plan
-        groups = [(kind, [i]) for i, (kind, _, _) in enumerate(plan)]
-        runner = "flat"
-    else:
-        raise ValueError(
-            f"profiling is not supported for backend {engine.name!r} "
-            "(supported: interp, fused, vector, vector-jit)"
-        )
-
-    n = len(entries)
-    hits = [0] * n
-    tacc = [0] * n
-    wacc = [0] * n
-    wall = [0.0] * n
+    engine.plan(program)  # built (and its errors raised) outside the timed run
+    groups, line_of = meta_for(program)
+    acc = _Attribution(len(groups))
     error: Optional[str] = None
     t_run = perf_counter()
     try:
-        if runner == "grouped-vec":
-            # seed interval bounds exactly like VectorBackend.execute
-            regs = machine.registers
-            lo = [0] * len(regs)
-            hi = [kernels.INT64_LIMIT - 1] * len(regs)
-            for i in plan.binit:
-                r = regs[i]
-                if r.size:
-                    lo[i] = int(r.min())
-                    hi[i] = int(r.max())
-                else:
-                    hi[i] = 0
-            _run_grouped(machine, entries, max_steps, hits, tacc, wacc, wall, lo, hi)
-        elif runner == "grouped":
-            _run_grouped(machine, entries, max_steps, hits, tacc, wacc, wall)
-        else:
-            _run_flat(machine, entries, max_steps, hits, tacc, wacc, wall)
+        engine.execute(machine, program, max_steps, instrument=acc.instrument)
     except BVRAMError as e:
         error = str(e)
     wall_total = perf_counter() - t_run
+    acc.charge_exit(machine.exit_pc)
 
-    line_of = meta.line_of
     code = program.instructions
     blocks = [
         BlockStat(
@@ -404,10 +291,10 @@ def profile_run(program, inputs, max_steps: int = 10_000_000, backend=None) -> P
             kind=_KIND_NAMES[kind],
             first=idxs[0],
             last=idxs[-1],
-            hits=hits[ei],
-            time=tacc[ei],
-            work=wacc[ei],
-            wall_s=wall[ei],
+            hits=acc.hits[ei],
+            time=acc.time[ei],
+            work=acc.work[ei],
+            wall_s=acc.wall[ei],
             source_line=line_of[idxs[0]],
             code=_code_snippet(code[idxs[0]]),
         )

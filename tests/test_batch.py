@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 from repro.bvram import BVRAM, BVRAMError
-from repro.bvram.fuse import build_fused_plan
-from repro.bvram.machine import _BLOCK
+from repro.backends.base import BLOCK
+from repro.backends.fused import build_fused_plan
 from repro.bvram import isa
 from repro.compiler import BatchError, CompileError, compile_nsc
 from repro.compiler.batch import batched_program
@@ -73,31 +73,49 @@ def test_batch_axis_program_matches_width1_on_battery_subset():
 
 
 # ---------------------------------------------------------------------------
-# Fusion parity: fused == unfused == traced, bit for bit
+# Tier parity: traced == fused == vector, bit for bit
 # ---------------------------------------------------------------------------
+
+#: (record_trace, backend) of the reference and of every untraced tier
+MODES = ((True, None), (False, "fused"), (False, "vector"))
+
+
+def _run_modes(prog, inputs, n_registers, **kwargs):
+    """[(machine, None or the BVRAMError message)] per mode, in MODES order."""
+    out = []
+    for record_trace, backend in MODES:
+        m = BVRAM(n_registers)
+        try:
+            m.run(prog, inputs, record_trace=record_trace, backend=backend, **kwargs)
+            outcome = None
+        except BVRAMError as e:
+            outcome = str(e)
+        out.append((m, outcome))
+    return out
+
+
+def _assert_modes_agree(runs, ctx=None):
+    (traced, outcome), *tiers = runs
+    for m, o in tiers:
+        assert o == outcome, ctx
+        assert (m.time, m.work) == (traced.time, traced.work), ctx
+        assert all((a == b).all() for a, b in zip(m.registers, traced.registers)), ctx
+    return traced, outcome
 
 
 @pytest.mark.parametrize("opt_level", [0, 2])
-def test_fused_totals_equal_unfused_across_battery(opt_level):
+def test_tier_totals_equal_traced_across_battery(opt_level):
     for name, fn, args in suite():
         prog = compile_nsc(fn, eps=0.5, opt_level=opt_level)
         for arg in args:
-            inputs = prog.encode_input(arg)
-            runs = []
-            for fuse in (True, False):
-                m = BVRAM(prog.n_registers)
-                runs.append(m.run(prog, inputs, record_trace=False, fuse=fuse))
-            fused, unfused = runs
-            assert (fused.time, fused.work) == (unfused.time, unfused.work), name
-            assert all(
-                (a == b).all() for a, b in zip(fused.registers, unfused.registers)
-            ), name
+            runs = _run_modes(prog, prog.encode_input(arg), prog.n_registers)
+            _assert_modes_agree(runs, name)
 
 
-def test_fused_totals_equal_traced_on_mid_block_error():
-    # straight-line program whose 4th instruction overflows: the fused block
-    # must flush the totals of the 3 completed instructions, exactly like
-    # the traced loop (the raising instruction is not charged)
+def test_tier_totals_equal_traced_on_mid_block_error():
+    # straight-line program whose 3rd instruction overflows: the block must
+    # flush the totals of the 2 completed instructions, exactly like the
+    # traced loop (the raising instruction is not charged)
     prog = isa.Program(
         instructions=[
             isa.LoadConst(dst=1, value=2**62),
@@ -109,16 +127,9 @@ def test_fused_totals_equal_traced_on_mid_block_error():
         n_inputs=1,
         n_outputs=1,
     )
-    machines = []
-    for record_trace, fuse in ((True, False), (False, True), (False, False)):
-        m = BVRAM(4)
-        with pytest.raises(BVRAMError, match="overflow"):
-            m.run(prog, [[0]], record_trace=record_trace, fuse=fuse)
-        machines.append(m)
-    traced, fused, unfused = machines
+    traced, outcome = _assert_modes_agree(_run_modes(prog, [[0]], 4))
+    assert "overflow" in outcome
     assert traced.time == 2  # the two load_consts
-    assert (traced.time, traced.work) == (fused.time, fused.work)
-    assert (traced.time, traced.work) == (unfused.time, unfused.work)
 
 
 def test_fused_plan_blocks_break_at_jump_targets():
@@ -131,9 +142,9 @@ def test_fused_plan_blocks_break_at_jump_targets():
     # fusion actually happened: fewer entries than instructions, and at
     # least one multi-instruction block
     assert len(plan) < len(prog.instructions)
-    assert any(kind == _BLOCK and extra > 1 for kind, _, extra in plan)
+    assert any(kind == BLOCK and extra > 1 for kind, _, extra in plan)
     # every instruction is covered exactly once
-    assert sum(extra if kind == _BLOCK else 1 for kind, _, extra in plan) == len(
+    assert sum(extra if kind == BLOCK else 1 for kind, _, extra in plan) == len(
         prog.instructions
     )
 
@@ -144,32 +155,20 @@ def test_fused_respects_max_steps():
     prog = compile_nsc(B.lam("z", NAT, B.app(diverge, B.v("z"))))
     m = BVRAM(prog.n_registers)
     with pytest.raises(BVRAMError, match="exceeded"):
-        m.run(prog, prog.encode_input(1), max_steps=500, record_trace=False, fuse=True)
+        m.run(prog, prog.encode_input(1), max_steps=500, record_trace=False)
 
 
 @pytest.mark.parametrize("max_steps", [1, 3, 5, 7])
-def test_fused_max_steps_parity_mid_block(max_steps):
+def test_tier_max_steps_parity_mid_block(max_steps):
     # straight-line program longer than the budget: every mode must stop at
     # (and charge) exactly the same instruction, even when the budget
-    # expires in the middle of a fused block
+    # expires in the middle of a block — the one place the tiers fall back
+    # to driving the per-op closure table step by step
     instrs = [isa.LoadConst(dst=1, value=i) for i in range(6)] + [isa.Halt()]
     prog = isa.Program(instructions=instrs, n_registers=2, n_inputs=1, n_outputs=1)
-    machines = []
-    for record_trace, fuse in ((True, False), (False, True), (False, False)):
-        m = BVRAM(2)
-        try:
-            m.run(prog, [[0]], max_steps=max_steps, record_trace=record_trace, fuse=fuse)
-            outcome = "done"
-        except BVRAMError:
-            outcome = "exceeded"
-        machines.append((m, outcome))
-    (traced, o_t), (fused, o_f), (unfused, o_u) = machines
-    assert o_t == o_f == o_u
-    assert (traced.time, traced.work) == (fused.time, fused.work)
-    assert (traced.time, traced.work) == (unfused.time, unfused.work)
-    assert all(
-        (a == b).all() for a, b in zip(traced.registers, fused.registers)
-    )
+    traced, outcome = _assert_modes_agree(_run_modes(prog, [[0]], 2, max_steps=max_steps))
+    assert (outcome is None) == (max_steps >= 7)
+    assert traced.time == min(max_steps, 7)
 
 
 # ---------------------------------------------------------------------------

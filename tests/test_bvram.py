@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import oracles as O
+from repro.backends.kernels import bm_route_vec, sbm_route_vec
 from repro.bvram import BVRAM, BVRAMError, run_program
 from repro.bvram import isa
-from repro.bvram.machine import bm_route_vec, sbm_route_vec
 from repro.bvram.programs import (
     broadcast_program,
     cartesian_product_program,

@@ -61,15 +61,11 @@ def _interp_outcome(fn, value):
         return TRAP
 
 
-def _compiled_outcome(prog, value, fuse=True, backend=None):
+def _compiled_outcome(prog, value, backend=None):
     machine = BVRAM(prog.n_registers)
     try:
         res = machine.run(
-            prog,
-            prog.encode_input(value),
-            record_trace=False,
-            fuse=fuse,
-            backend=backend,
+            prog, prog.encode_input(value), record_trace=False, backend=backend
         )
     except BVRAMError:
         return TRAP
@@ -100,7 +96,6 @@ def _check_case(case, executor, oob_executor, router) -> list[str]:
     for i, v in enumerate(values):
         expect("opt0", i, _compiled_outcome(prog0, v))
         expect("opt2/fused", i, _compiled_outcome(prog2, v))
-        expect("opt2/unfused", i, _compiled_outcome(prog2, v, fuse=False))
         expect("opt2/vector", i, _compiled_outcome(prog2, v, backend="vector"))
 
     batched = prog2.run_batch(values, return_exceptions=True)

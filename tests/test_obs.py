@@ -1,7 +1,7 @@
 """Observability: span tracer, exact T'/W' attribution, Prometheus export.
 
 The load-bearing test here is the differential battery: every suite()
-program, on every input, at opt 0 and 2, on the fused and vector backends,
+program, on every input, at opt 0 and 2, on every registered backend,
 must profile to per-block T'/W' sums that are *bit-identical* to the
 machine totals of a plain run — on success, on traps, and on mid-block
 step-budget exhaustion.  The tracer tests pin the disabled path to a
@@ -17,7 +17,8 @@ from time import perf_counter
 
 import pytest
 
-from repro.bvram import BVRAM, BVRAMError
+from repro.backends import available_backends
+from repro.bvram import BVRAM, BVRAMError, isa
 from repro.compiler import CompiledProgram, compile_nsc
 from repro.compiler.difftest import suite
 from repro.nsc import builder as B
@@ -33,7 +34,7 @@ from repro.obs import (
     span,
 )
 from repro.obs.export import escape_label_value
-from repro.obs.profile import meta_for
+from repro.obs.profile import meta_for, profile_run
 from repro.obs.trace import NULL_SPAN, activate, instant
 from repro.serving import Server
 from repro.serving.metrics import ServerMetrics
@@ -194,7 +195,7 @@ def test_profile_attribution_bit_identical_battery(opt_level):
     for name, fn, inputs in suite():
         prog = compile_nsc(fn, opt_level=opt_level)
         for value in inputs:
-            for backend in ("fused", "vector"):
+            for backend in available_backends():
                 status, err, t, w, decoded = _plain(prog, value, backend)
                 report = prog.profile(value, backend=backend)
                 ctx = (name, opt_level, backend, value)
@@ -207,28 +208,66 @@ def test_profile_attribution_bit_identical_battery(opt_level):
                     assert report.error == err, ctx
 
 
-def test_profile_interp_backend_per_instruction():
+@pytest.mark.parametrize("backend", available_backends())
+def test_profile_hits_per_entry_on_a_while_program(backend):
+    """Per-entry hit counts of the collatz loop, as the PR 7 profiler reported them."""
     prog = _collatz_prog()
     value = [1, 9, 100, 3]
-    status, _, t, w, decoded = _plain(prog, value, "interp")
-    assert status == "ok"
-    report = prog.profile(value, backend="interp")
-    assert report.backend == "interp"
-    assert report.verify_totals()
-    assert (report.time, report.work) == (t, w)
-    assert report.result == decoded
-    # interp attribution is per instruction, not per fused block
-    assert all(b.first == b.last for b in report.blocks)
-    # hit counts times unit charge reproduce T' exactly
-    assert sum(b.hits for b in report.blocks) == report.time
+    report = prog.profile(value, backend=backend)
+    assert report.backend == backend and report.verify_totals()
+    assert (report.time, report.work) == (2071, 9318)
+    assert [(b.kind, b.hits) for b in report.blocks] == [
+        ("block", 1), ("block", 27), ("jump", 27), ("block", 3), ("jump", 3),
+        ("block", 26), ("jump", 26), ("block", 1), ("halt", 1),
+    ]  # fmt: skip
+    # budget 40 expires 26 instructions into entry 5: the block falls back to
+    # per-step execution and must still count as ONE hit, charged 26 units
+    report = prog.profile(value, max_steps=40, backend=backend)
+    assert report.verify_totals() and (report.time, report.work) == (40, 303)
+    assert [(b.entry, b.hits, b.time) for b in report.blocks if b.hits] == [
+        (0, 1, 8), (1, 1, 5), (2, 1, 1), (5, 1, 26),
+    ]  # fmt: skip
 
 
-def test_profile_trap_sets_error_with_exact_prefix_totals():
+@pytest.mark.parametrize("backend", available_backends())
+def test_profile_exit_unit_only_for_an_executed_halt_or_trap(backend):
+    """A run that stops *next to* a halt/trap it never executed charges it nothing."""
+    # the taken goto lands on the halt just as the budget runs out; the
+    # trap in between is one entry before the exit pc but was never fetched
+    skipped = isa.Program(
+        instructions=[isa.Goto("h"), isa.Trap("never"), isa.Halt()],
+        labels={"h": 2},
+        n_registers=1,
+        n_inputs=0,
+        n_outputs=1,
+    )
+    report = profile_run(skipped, [], max_steps=1, backend=backend)
+    assert report.error.startswith("exceeded 1 steps")
+    assert report.verify_totals() and report.time == 1
+    assert [b.hits for b in report.blocks] == [1, 0, 0]
+    report = profile_run(skipped, [], backend=backend)
+    assert report.error is None and report.verify_totals()
+    assert [b.hits for b in report.blocks] == [1, 0, 1]
+    # a goto past the final halt runs off the end without executing it
+    past_end = isa.Program(
+        instructions=[isa.Goto("end"), isa.Halt()],
+        labels={"end": 2},
+        n_registers=1,
+        n_inputs=0,
+        n_outputs=1,
+    )
+    report = profile_run(past_end, [], backend=backend)
+    assert report.error is None and report.verify_totals() and report.time == 1
+    assert [b.hits for b in report.blocks] == [1, 0]
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_profile_trap_sets_error_with_exact_prefix_totals(backend):
     prog = compile_nsc(_get_fn())
     value = [1, 2, 3]  # get() of a length-3 sequence traps
-    status, err, t, w, _ = _plain(prog, value, "fused")
+    status, err, t, w, _ = _plain(prog, value, backend)
     assert status == "err"
-    report = prog.profile(value)
+    report = prog.profile(value, backend=backend)
     assert report.error == err
     assert report.result is None
     assert report.verify_totals()
@@ -236,9 +275,9 @@ def test_profile_trap_sets_error_with_exact_prefix_totals():
     assert any(b.kind == "trap" and b.hits for b in report.blocks)
 
 
-@pytest.mark.parametrize("backend", ["fused", "vector"])
+@pytest.mark.parametrize("backend", available_backends())
 def test_profile_max_steps_mid_block_exact(backend):
-    """Budget expiring inside a fused block still attributes bit-identically."""
+    """Budget expiring inside a block still attributes bit-identically."""
     prog = _collatz_prog()
     value = [27, 27, 27, 27]
     full = _plain(prog, value, backend)
@@ -343,7 +382,7 @@ def test_profile_section_is_json_able():
     prog = _collatz_prog()
     section = profile_section(prog, [1, 9, 100, 3, 27], top=3)
     assert section["attribution_exact"] is True
-    assert section["backend"] in ("fused", "vector", "vector-jit", "interp")
+    assert section["backend"] in available_backends()
     assert section["time"] > 0 and section["work"] > 0
     assert len(section["hot_blocks"]) <= 3
     assert set(section["cost_model"]) == {"alpha_s_per_t", "beta_s_per_w", "r2"}

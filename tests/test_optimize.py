@@ -214,8 +214,8 @@ def test_opt2_refines_opt0_on_random_scalar_programs(expr, x):
 
 
 @pytest.mark.parametrize("opt_level", [0, 2])
-@pytest.mark.parametrize("fuse", [True, False])
-def test_untraced_totals_match_traced(opt_level, fuse):
+@pytest.mark.parametrize("backend", ["fused", "vector"])
+def test_untraced_totals_match_traced(opt_level, backend):
     from repro.algorithms.quicksort import quicksort_def
     from repro.maprec.translate import translate
 
@@ -227,7 +227,7 @@ def test_untraced_totals_match_traced(opt_level, fuse):
         prog = compile_nsc(fn, eps=0.5, opt_level=opt_level)
         v_t, r_t = prog.run(arg, trace=True)
         m = BVRAM(prog.n_registers)
-        r_u = m.run(prog, prog.encode_input(arg), record_trace=False, fuse=fuse)
+        r_u = m.run(prog, prog.encode_input(arg), record_trace=False, backend=backend)
         v_u = prog.decode_output(r_u.registers)
         assert v_t == v_u
         assert (r_t.time, r_t.work) == (r_u.time, r_u.work)
@@ -235,8 +235,8 @@ def test_untraced_totals_match_traced(opt_level, fuse):
         assert len(r_t.trace) == r_t.time and r_u.trace == []
 
 
-@pytest.mark.parametrize("fuse", [True, False])
-def test_untraced_totals_match_traced_on_error_paths(fuse):
+@pytest.mark.parametrize("backend", ["fused", "vector"])
+def test_untraced_totals_match_traced_on_error_paths(backend):
     x = B.gensym("x")
     fn = B.lam(x, seq(NAT), B.get_(B.v(x)))  # get of a non-singleton traps
     prog = compile_nsc(fn)
@@ -245,7 +245,7 @@ def test_untraced_totals_match_traced_on_error_paths(fuse):
         m = BVRAM(prog.n_registers)
         with pytest.raises(BVRAMError, match="length != 1"):
             m.run(
-                prog, prog.encode_input([1, 2, 3]), record_trace=record_trace, fuse=fuse
+                prog, prog.encode_input([1, 2, 3]), record_trace=record_trace, backend=backend
             )
         machines.append(m)
     traced, untraced = machines
