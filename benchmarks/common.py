@@ -10,11 +10,9 @@ boilerplate; they live here once:
   timing, the convention used for every speedup claim in EXPERIMENTS.md;
 * **machine-readable results** — :func:`record` collects one JSON-able dict
   per measured quantity.  When the ``BENCH_JSON`` environment variable is
-  set (as ``benchmarks/run_all.py`` does), each record is also appended to
-  that file as a JSON line; the perf-regression CI gate aggregates them
-  into ``BENCH_PR3.json`` and diffs against the committed baseline.
+  set, each record is also appended to that file as a JSON line.
 
-Records should carry the fields the gate understands where they apply:
+Records carry these fields where they apply:
 ``time`` / ``work`` (machine or Definition 3.1 counters — deterministic, so
 they regress loudly), ``wall_s`` (wall-clock seconds) and ``opt_level``.
 """

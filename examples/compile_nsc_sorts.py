@@ -68,8 +68,8 @@ def main(n: int = 24, seed: int = 1234, eps_values=(1.0, 0.5, 0.25)) -> None:
     print(
         "\nBoth sorts produce the interpreter's exact output on the machine;\n"
         "T'/T and W'/W are the measured constants of Theorem 7.1 (the deep\n"
-        "recursion tree makes the sorts interpreter-friendly — see benchmark\n"
-        "E9 for the vector-heavy workloads where the compiled code wins)."
+        "recursion tree makes the sorts interpreter-friendly — the run_wide\n"
+        "workload of bench/ is the vector-heavy case where compiled code wins)."
     )
 
 

@@ -1,4 +1,4 @@
-"""Asyncio serving quickstart: many small requests, one micro-batching server.
+"""Asyncio serving quickstart: many small requests, one batching server.
 
 Run with ``PYTHONPATH=src python examples/serve_requests.py``.
 
@@ -6,9 +6,9 @@ The server warm-starts from an on-disk compile cache: the first run of this
 script compiles the program and stores the artifact under ``.repro-cache/``;
 every later run (or any other process pointing at the same directory, e.g.
 via ``REPRO_CACHE_DIR``) loads it back instead of compiling.  An optional
-SLO config turns on the adaptive scheduler: the lane controller tunes
-``max_batch``/``max_delay_ms`` against the latency target and admission
-control keeps predicted-expensive outliers out of the shared lane.
+SLO config turns on admission control: each lane prices arrivals with a cost
+model fitted to its own batches and keeps predicted-expensive outliers out
+of the shared lane.
 """
 
 import asyncio
@@ -33,13 +33,11 @@ def main():
     async def serve():
         # submit() resolves `affine` through the cache (second run of this
         # script: a disk hit, no compile at all), queues each request, and
-        # the scheduler packs waiting requests into batched machine runs;
-        # the SLO controller tightens the knobs whenever p99 drifts over
-        # the 50ms target.
+        # the lane runs whatever is waiting as one batched machine run as
+        # soon as the previous one is done; a request predicted to take
+        # longer than the 50ms target on its own would be refused.
         slo = SLOConfig(target_p99_ms=50.0)
-        async with Server(
-            max_batch=64, max_delay_ms=2.0, cache=cache, slo=slo
-        ) as server:
+        async with Server(max_batch=64, cache=cache, slo=slo) as server:
             results = await asyncio.gather(
                 *(server.submit(affine, req) for req in requests)
             )

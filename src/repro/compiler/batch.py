@@ -31,6 +31,12 @@ and ``.index`` name the failing batch position (first failing index in batch
 order); with ``return_exceptions=True`` the error object is returned *in
 place* and every sibling's result is exactly its independent ``run()``
 value.
+
+A request that cannot be **encoded** (a negative or over-wide natural, data
+of the wrong shape: :data:`ENCODE_ERRORS`) is that one caller's error, like
+a trap: the batch takes the same per-input loop, the offender gets an
+in-slot :class:`BatchError` under ``return_exceptions=True`` and its
+original exception is raised otherwise.
 """
 
 from __future__ import annotations
@@ -86,6 +92,11 @@ class BatchError(BVRAMError):
         # which would drop the index a shard worker attributed
         return (BatchError, (self.args[0], self.index, self.cause_text))
 
+
+#: what a request that cannot be marshalled raises: ``from_python`` rejects
+#: the Python data (``ValueError``/``TypeError``), ``encode_batch`` rejects a
+#: value of the wrong type or width (:class:`CompileError`)
+ENCODE_ERRORS = (CompileError, ValueError, TypeError)
 
 _UNSET = object()
 
@@ -150,14 +161,20 @@ def run_batch(
     backend: Optional[str] = None,
 ) -> list[Value]:
     """Run ``prog`` on every input in ``values``; see the module docstring."""
-    vals = [v if isinstance(v, Value) else from_python(v) for v in values]
-    if not vals:
-        return []
-    twin = batched_program(prog)
+    try:
+        vals = [v if isinstance(v, Value) else from_python(v) for v in values]
+        if not vals:
+            return []
+        twin = batched_program(prog)
+        if twin is not None:
+            with _span("batch/encode", "serve", batch=len(vals)):
+                inputs = twin.encode_batch_input(vals)
+    except ENCODE_ERRORS:
+        # one request is malformed: the loop below re-marshals each input on
+        # its own, so only the offender fails
+        twin, vals = None, values
     if twin is not None:
         machine = BVRAM(twin.n_registers)
-        with _span("batch/encode", "serve", batch=len(vals)):
-            inputs = twin.encode_batch_input(vals)
         try:
             with _span("batch/execute", "serve", batch=len(vals)) as sp:
                 res = machine.run(
@@ -234,7 +251,7 @@ def run_batch_fields(
 
 def _run_batch_fallback(
     prog: "CompiledProgram",
-    vals: Sequence[Value],
+    vals: Sequence[object],
     max_steps: int,
     return_exceptions: bool,
     backend: Optional[str] = None,
@@ -244,11 +261,12 @@ def _run_batch_fallback(
     for i, v in enumerate(vals):
         try:
             value, _ = prog.run(v, max_steps=max_steps, backend=backend)
-        except BVRAMError as e:
-            err = BatchError.at(i, str(e))
+        except (BVRAMError, *ENCODE_ERRORS) as e:
             if not return_exceptions:
-                raise err from e
-            out.append(err)
+                if isinstance(e, BVRAMError):
+                    raise BatchError.at(i, str(e)) from e
+                raise  # a malformed request keeps its own exception type
+            out.append(BatchError.at(i, str(e)))
             continue
         out.append(value)
     return out

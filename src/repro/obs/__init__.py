@@ -16,7 +16,7 @@ serving -> shards) report only totals; this package attributes them:
   roadmap item needs.
 """
 
-from .costcheck import CostReport, cost_check, profile_section
+from .costcheck import CostReport, cost_check
 from .export import (
     aggregate_worker_metrics,
     render_prometheus,
@@ -35,7 +35,6 @@ __all__ = [
     "current",
     "instant",
     "profile_run",
-    "profile_section",
     "render_prometheus",
     "render_shard_prometheus",
     "span",

@@ -17,9 +17,6 @@ predicted-vs-measured table.  A high ``r2`` on vector-heavy programs is the
 empirical footing for using ``W'`` as a wall-time proxy in the Brent
 validation; low ``r2`` flags blocks whose constants the model misses
 (e.g. guard-heavy kernels).
-
-:func:`profile_section` packages one profiled run + fit as a JSON-able dict
-for ``benchmarks/run_all.py`` bench records (the ``profile`` field).
 """
 
 from __future__ import annotations
@@ -138,43 +135,3 @@ def cost_check(reports: Union[ProfileReport, Sequence[ProfileReport]]) -> CostRe
         for blk in executed
     ]
     return CostReport(alpha, beta, r2, rows)
-
-
-def profile_section(
-    prog,
-    value,
-    backend: Optional[str] = None,
-    max_steps: int = 10_000_000,
-    top: int = 5,
-) -> dict:
-    """One JSON-able ``profile`` section for a benchmark record.
-
-    Profiles a single run, fits the cost model, and returns the totals, the
-    exactness bit (per-block sums vs machine totals), the fitted weights and
-    the ``top`` hottest blocks — small enough to ride every BENCH_*.json
-    record, rich enough to diff across PRs.
-    """
-    report = prog.profile(value, max_steps=max_steps, backend=backend)
-    fit = cost_check(report)
-    return {
-        "backend": report.backend,
-        "time": report.time,
-        "work": report.work,
-        "wall_s": round(report.wall_s, 6),
-        "attribution_exact": report.verify_totals(),
-        "cost_model": fit.as_dict(),
-        "hot_blocks": [
-            {
-                "entry": b.entry,
-                "kind": b.kind,
-                "first": b.first,
-                "last": b.last,
-                "hits": b.hits,
-                "time": b.time,
-                "work": b.work,
-                "wall_s": round(b.wall_s, 6),
-                "source_line": b.source_line,
-            }
-            for b in report.hot_blocks(top)
-        ],
-    }

@@ -1,16 +1,17 @@
-"""Serving: the async micro-batching front door and the multi-core shard pool.
+"""Serving: the async batching front door and the multi-core shard pool.
 
 This package turns the repo's batched machine (:mod:`repro.compiler.batch`,
 PR 4) into something a traffic-facing service can sit behind:
 
 * :class:`Server` (:mod:`repro.serving.scheduler`) — an asyncio request
-  scheduler.  ``await server.submit(fn, value)`` queues the request; an
-  adaptive micro-batching drainer packs waiting requests into one
-  ``run_batch`` machine run when either ``max_batch`` is reached or the
-  oldest request has waited ``max_delay_ms``.  Bounded queues give
-  backpressure, ``return_exceptions=True`` gives per-request trap
-  isolation, and :class:`ServerMetrics` exposes queue depth, the batch-size
-  histogram, p50/p99 latency and requests/sec.
+  scheduler.  ``await server.submit(fn, value)`` queues the request; a
+  work-conserving drainer per program takes whatever is queued (up to
+  ``max_batch``) into one ``run_batch`` machine run as soon as the previous
+  one has finished — a lone request runs at once, and batch size follows
+  load by itself.  Bounded queues give backpressure,
+  ``return_exceptions=True`` gives per-request trap isolation, and
+  :class:`ServerMetrics` exposes queue depth, the batch-size histogram,
+  p50/p99 latency and requests/sec.
 
 * :class:`ShardExecutor` (:mod:`repro.serving.shard`) — a persistent
   ``multiprocessing`` worker pool.  Batches are split along the batch axis
@@ -21,8 +22,7 @@ PR 4) into something a traffic-facing service can sit behind:
   (:mod:`repro.serving.transport`): the batch is encoded once into its flat
   ``int64`` vectors, spans ship as shared-memory views (pickle-5
   out-of-band frames where shm is unavailable), and results return the same
-  way — the pickled-S-object round-trip that used to eat the multi-core win
-  is gone.
+  way.
 
 * :class:`Router` (:mod:`repro.serving.router`) — the multi-process front
   door: N serving *planes* (each a :class:`Server` over its own
@@ -33,22 +33,21 @@ PR 4) into something a traffic-facing service can sit behind:
   ``metrics_endpoint``.
 
 * :class:`SLOConfig` / :class:`LaneController` (:mod:`repro.serving.slo`) —
-  the SLO layer.  Given a ``target_p99_ms``, each program lane AIMD-tunes
-  its effective ``max_batch``/``max_delay_ms`` against its live windowed
-  p99, and admission control prices every arrival with the fitted
-  ``wall ~ alpha*T' + beta*W'`` cost model (PR 7), rejecting
-  (:class:`AdmissionRejected`) or lane-isolating requests predicted to
-  blow the SLO.
+  admission control.  Given a ``target_p99_ms``, each program lane fits
+  ``wall ~ a + b * sum(request_size)`` over the batches it has already
+  timed (the ``alpha*T'`` and ``beta*W'`` terms of the paper's cost model)
+  and prices every arrival with it, rejecting (:class:`AdmissionRejected`)
+  or lane-isolating requests predicted to blow the SLO.
 
 All layers warm from the content-addressed compile cache
 (:mod:`repro.cache`) when one is configured: the server compiles through
 it, shard workers read artifacts from it instead of being shipped pickled
 programs, and the router pre-loads every worker before traffic arrives.
 
-Benchmarks E11 (``benchmarks/bench_e11_async_serving.py``) and E12
-(``benchmarks/bench_e12_router.py``) measure the layers; the differential
-fuzz battery (``tests/test_fuzz_differential.py``) pins interpreter ==
-compiled == batched == sharded == routed across random programs.
+The ``serving.*`` per-layer metrics of ``bench/`` (see ``bench/README.md``)
+measure the layers; the differential fuzz battery
+(``tests/test_fuzz_differential.py``) pins interpreter == compiled ==
+batched == sharded == routed across random programs.
 """
 
 from .metrics import ServerMetrics

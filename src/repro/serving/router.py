@@ -29,7 +29,7 @@ The router closes the operational loop the shard tier left open:
   percentiles) and renders per-plane labelled Prometheus series.
 
 Requests enter either async (:meth:`submit`, the serving path through the
-plane's micro-batching scheduler) or synchronously (:meth:`run_batch`,
+plane's scheduler) or synchronously (:meth:`run_batch`,
 straight onto the routed plane's shard pool — the differential-testing
 path).  Both preserve the batch contract: order-preserving results, trap
 indices global to the submitted batch.
@@ -85,7 +85,7 @@ class Router:
     independent ±few-percent key spread); ``transport`` selects the span
     wire format per plane (see :mod:`repro.serving.transport`).  The
     remaining knobs are forwarded to every plane's :class:`Server`
-    (micro-batching, SLO, backend) and are documented there.  All planes
+    (batch and queue bounds, SLO, backend) and are documented there.  All planes
     share one resolved compile cache, which is what makes digest routing,
     warm-up and failover line up: the digest a request routes by is the
     artifact's content address in the shared store.
@@ -98,7 +98,6 @@ class Router:
         workers_per_plane: int = 1,
         virtual_nodes: int = 96,
         max_batch: int = 64,
-        max_delay_ms: float = 2.0,
         max_queue: int = 1024,
         shards: Optional[int] = None,
         shard_threshold: Optional[int] = None,
@@ -118,7 +117,6 @@ class Router:
         self.workers_per_plane = workers_per_plane
         self.virtual_nodes = virtual_nodes
         self.max_batch = max_batch
-        self.max_delay_ms = max_delay_ms
         self.max_queue = max_queue
         self.shards = shards
         self.shard_threshold = shard_threshold
@@ -165,7 +163,6 @@ class Router:
         )
         server = Server(
             max_batch=self.max_batch,
-            max_delay_ms=self.max_delay_ms,
             max_queue=self.max_queue,
             executor=executor,
             shards=self.shards,
@@ -256,7 +253,7 @@ class Router:
     # -- request entry points ------------------------------------------------
 
     async def submit(self, fn: Union[CompiledProgram, A.Function], value: object):
-        """Route one request to its plane's micro-batching scheduler."""
+        """Route one request to its plane's scheduler."""
         if self._closed:
             raise RouterClosed("router is closed")
         prog = self._resolve(fn)

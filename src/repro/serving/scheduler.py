@@ -1,18 +1,18 @@
-"""The asyncio front door: adaptive micro-batching over ``run_batch``.
+"""The asyncio front door: work-conserving micro-batching over ``run_batch``.
 
 The paper's point — batching is one more segment level — makes the *machine*
-side of serving trivial; what a real server adds is the **scheduler** that
-forms those batches under load.  :class:`Server` implements the standard
-continuous-batching recipe:
+side of serving trivial, and the scheduler that forms those batches needs no
+policy either.  :class:`Server` is a work-conserving lane per program:
 
 * requests to the same program queue in a per-program *lane* (a bounded
   ``asyncio.Queue`` — the bound is the backpressure surface);
-* a drainer task per lane collects a batch and dispatches it as **one**
-  ``run_batch`` call when either ``max_batch`` requests are waiting or the
-  oldest request has waited ``max_delay_ms`` (the latency/throughput knob);
+* a drainer task per lane awaits the first request and, as soon as an
+  executor thread is free, takes whatever else is queued (up to
+  ``max_batch``) and dispatches it as **one** ``run_batch`` call — it never
+  waits for company, so a lone request runs at once;
 * the machine run happens on an executor thread, so the event loop keeps
   accepting requests while a batch executes — the next batch forms during
-  the current one (continuous batching);
+  the current one, and batch size follows load by itself;
 * batches at or above ``shard_threshold`` are routed to a
   :class:`~repro.serving.shard.ShardExecutor` when one is attached, spreading
   the batch across cores;
@@ -22,7 +22,7 @@ continuous-batching recipe:
 
 Quickstart::
 
-    server = Server(max_batch=64, max_delay_ms=2.0)
+    server = Server(max_batch=64)
     async with server:
         results = await asyncio.gather(
             *(server.submit(fn, v) for v in requests)
@@ -51,7 +51,7 @@ from ..obs.trace import Trace, activate
 from ..obs.trace import current as current_trace
 from .metrics import ServerMetrics
 from .shard import ShardExecutor
-from .slo import AdmissionRejected, LaneController, SLOConfig
+from .slo import AdmissionRejected, LaneController, SLOConfig, request_size
 
 
 class ServerClosed(RuntimeError):
@@ -65,37 +65,30 @@ class ServerOverloaded(RuntimeError):
 class _Lane:
     """One compiled program's queue plus its drainer task."""
 
-    __slots__ = ("prog", "queue", "drainer", "exec_lock", "idle", "ctrl")
+    __slots__ = ("prog", "queue", "drainer", "busy", "ctrl")
 
     def __init__(self, prog: CompiledProgram, max_queue: int) -> None:
         self.prog = prog
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=max_queue)
         self.drainer: Optional[asyncio.Task] = None
-        #: held while a batch executes; close() acquires it to let the
-        #: in-flight batch deliver its results before cancelling the drainer
-        self.exec_lock = asyncio.Lock()
-        #: True exactly while the drainer waits for the *first* request of a
-        #: batch (empty queue, nothing forming, nothing executing) — the
-        #: only state in which the lane can be evicted without losing work
-        self.idle = False
-        #: the lane's SLO controller (None without an SLO, and always None
-        #: on isolation lanes — an isolated outlier must not steer the
-        #: knobs its siblings run under)
+        #: True from the moment the drainer takes requests off the queue
+        #: until their batch has delivered.  A lane that is not busy holds
+        #: no request outside its queue: its drainer can be cancelled (on
+        #: close, on eviction) without losing work.
+        self.busy = False
+        #: the lane's admission controller (None without an SLO, and always
+        #: None on isolation lanes — an isolated outlier must not move the
+        #: cost model its siblings are priced by)
         self.ctrl: Optional[LaneController] = None
 
 
 class Server:
-    """Async request scheduler with adaptive micro-batching.
+    """Async request scheduler with work-conserving micro-batching.
 
     Knobs:
 
     ``max_batch``
-        Largest batch one machine run serves.  Reaching it dispatches
-        immediately (throughput bound).
-    ``max_delay_ms``
-        Longest a request may wait for co-batching before the partial batch
-        dispatches anyway (latency bound).  ``0`` dispatches whatever is
-        queued at drain time without waiting.
+        Largest batch one machine run serves; a longer backlog is split.
     ``max_queue``
         Per-program queue bound.  :meth:`submit` awaits a slot (natural
         backpressure); :meth:`try_submit` raises :class:`ServerOverloaded`
@@ -118,10 +111,8 @@ class Server:
         explicitly, or ``None``/``False`` to disable.  A warm cache makes a
         server restart skip every compile.
     ``slo``
-        An :class:`~repro.serving.slo.SLOConfig` switches the scheduler to
-        SLO mode: per-lane controllers auto-tune the effective
-        ``max_batch``/``max_delay_ms`` against the target p99 (the
-        constructor values become the hard caps), and admission control
+        An :class:`~repro.serving.slo.SLOConfig` turns on admission
+        control: each lane fits a live cost model over its own batches and
         rejects (:class:`~repro.serving.slo.AdmissionRejected`) or
         lane-isolates requests whose predicted cost would blow the SLO.
     """
@@ -130,7 +121,6 @@ class Server:
         self,
         *,
         max_batch: int = 64,
-        max_delay_ms: float = 2.0,
         max_queue: int = 1024,
         executor: Optional[ShardExecutor] = None,
         shards: Optional[int] = None,
@@ -145,8 +135,6 @@ class Server:
     ) -> None:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_delay_ms < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {max_delay_ms}")
         if max_queue <= 0:
             raise ValueError(f"max_queue must be positive, got {max_queue}")
         if shard_threshold is None:
@@ -157,7 +145,6 @@ class Server:
                 f"{max_batch}: no batch would ever reach the shard executor"
             )
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_ms / 1000.0
         self.max_queue = max_queue
         self.executor = executor
         self.shards = shards
@@ -169,7 +156,7 @@ class Server:
         self.backend = backend
         #: soft bound on live per-program state (lanes + compile cache):
         #: above it, idle lanes are evicted LRU and the compile cache drops
-        #: old entries.  Soft — lanes with queued, forming or executing
+        #: old entries.  Soft — lanes with queued or executing
         #: requests are never evicted, so a burst over `max_programs`
         #: concurrently-active programs grows past the bound rather than
         #: failing requests.
@@ -186,7 +173,7 @@ class Server:
         #: :meth:`metrics_endpoint`
         self._cache = resolve_cache(cache)
         #: the serving SLO (see :class:`repro.serving.slo.SLOConfig`);
-        #: ``None`` keeps the classic fixed-knob scheduler
+        #: ``None`` admits every request
         self.slo = slo
         self.metrics = ServerMetrics()
         self._lanes: OrderedDict[int, _Lane] = OrderedDict()
@@ -194,6 +181,10 @@ class Server:
             max_workers=worker_threads, thread_name_prefix="repro-serve"
         )
         self._closed = False
+        #: one permit per executor thread: a lane cuts its batch only when a
+        #: thread is free to run it, so with several lanes on one thread the
+        #: requests that arrive while another lane executes still ride along
+        self._threads = asyncio.Semaphore(worker_threads)
         self._compiled: OrderedDict[int, tuple[object, CompiledProgram]] = OrderedDict()
 
     # -- program resolution --------------------------------------------------
@@ -214,18 +205,19 @@ class Server:
         return entry[1]
 
     def _evict_idle_lanes(self) -> None:
-        """Drop LRU lanes that are provably at rest (see ``_Lane.idle``).
+        """Drop LRU lanes that are provably at rest (see ``_Lane.busy``).
 
         Safe because eviction and ``submit`` both run on the event-loop
-        thread, and an idle drainer's forming batch is empty — cancelling it
-        fails no request.  ``submit`` has no await point between looking a
-        lane up and enqueueing into it on the non-full path, so a lane
-        observed idle cannot be receiving a request concurrently.
+        thread: a lane with an empty queue that is not busy holds nothing,
+        so cancelling its drainer fails no request.  ``submit`` has no await
+        point between looking a lane up and enqueueing into it on the
+        non-full path, so such a lane cannot be receiving a request
+        concurrently.
         """
         for key, cand in list(self._lanes.items()):
             if len(self._lanes) < self.max_programs:
                 break
-            if cand.idle and cand.queue.empty() and not cand.exec_lock.locked():
+            if cand.queue.empty() and not cand.busy:
                 if cand.drainer is not None:
                     cand.drainer.cancel()
                 del self._lanes[key]
@@ -238,7 +230,7 @@ class Server:
                 self._evict_idle_lanes()
             lane = _Lane(prog, self.max_queue)
             if self.slo is not None and not isolated:
-                lane.ctrl = LaneController(self.slo, self.max_batch, self.max_delay_s)
+                lane.ctrl = LaneController(self.slo)
             lane.drainer = asyncio.get_running_loop().create_task(
                 self._drain(lane), name=f"repro-serve-drain-{id(prog):x}"
             )
@@ -328,65 +320,25 @@ class Server:
     # -- the scheduler core --------------------------------------------------
 
     async def _drain(self, lane: _Lane) -> None:
-        """Form batches adaptively and execute them, forever."""
-        loop = asyncio.get_running_loop()
+        """Await a request, take what else is queued, run it; until closed.
+
+        The batch is cut when an executor thread is free and the loop comes
+        back to the queue once it has finished, so whatever arrived meanwhile
+        is the next batch: its size follows load, a lone request runs at once.
+        """
         q = lane.queue
-        batch: list = []
-        try:
-            while True:
-                lane.idle = True  # evictable: empty hands, empty queue
-                first = await q.get()  # block until there is work
-                lane.idle = False
-                # effective knobs for THIS batch: the lane's SLO controller
-                # when one is attached (re-read per batch, so a mid-stream
-                # tightening applies from the very next batch), the
-                # server-wide values otherwise
-                if lane.ctrl is not None:
-                    max_batch = lane.ctrl.max_batch
-                    max_delay_s = lane.ctrl.max_delay_s
-                else:
-                    max_batch = self.max_batch
-                    max_delay_s = self.max_delay_s
-                batch = [first]
-                # opportunistic fill: whatever is queued rides along free
-                while len(batch) < max_batch:
+        while not self._closed:
+            batch = [await q.get()]  # block until there is work
+            lane.busy = True
+            async with self._threads:
+                while len(batch) < self.max_batch:
                     try:
                         batch.append(q.get_nowait())
                     except asyncio.QueueEmpty:
                         break
-                # adaptive wait: hold the partial batch open to the deadline
-                if len(batch) < max_batch and max_delay_s > 0:
-                    deadline = loop.time() + max_delay_s
-                    while len(batch) < max_batch:
-                        timeout = deadline - loop.time()
-                        if timeout <= 0:
-                            break
-                        try:
-                            batch.append(await asyncio.wait_for(q.get(), timeout))
-                        except asyncio.TimeoutError:
-                            break
-                        while len(batch) < max_batch:
-                            try:
-                                batch.append(q.get_nowait())
-                            except asyncio.QueueEmpty:
-                                break
                 self.metrics.queue_depth = self._depth()
-                if self._closed:
-                    # close() is tearing the server down between batches;
-                    # these requests were still queued, so they get the
-                    # queued-request failure rather than an execution
-                    raise asyncio.CancelledError
-                async with lane.exec_lock:
-                    await self._execute(lane, batch)
-                batch = []
-        except asyncio.CancelledError:
-            # close() cancelled us: requests already popped off the queue
-            # into the forming batch would otherwise vanish silently
-            err = ServerClosed("server closed while the batch was forming")
-            for _, fut, _ in batch:
-                if not fut.done():
-                    fut.set_exception(err)
-            raise
+                await self._execute(lane, batch)
+            lane.busy = False
 
     def _trace(self) -> Optional[Trace]:
         return self.tracer if self.tracer is not None else current_trace()
@@ -408,41 +360,33 @@ class Server:
             # re-activate the tracer so batch/encode-execute-decode spans
             # (repro.compiler.batch) land in the same trace
             with activate(tracer):
-                if lane.ctrl is not None and not lane.ctrl.calibrated:
-                    # one-off cost-model fit on a representative request —
-                    # on this executor thread, so the event loop keeps
-                    # accepting while the profile runs
-                    lane.ctrl.calibrate(prog, values[0])
-                return _run()
-
-        def _run():
-            if (
-                self.executor is not None
-                and len(values) >= self.shard_threshold
-            ):
-                return self.executor.run_batch(
-                    prog,
+                if (
+                    self.executor is not None
+                    and len(values) >= self.shard_threshold
+                ):
+                    return self.executor.run_batch(
+                        prog,
+                        values,
+                        shards=self.shards,
+                        max_steps=self.max_steps,
+                        return_exceptions=True,
+                        backend=self.backend,
+                    )
+                return prog.run_batch(
                     values,
-                    shards=self.shards,
                     max_steps=self.max_steps,
                     return_exceptions=True,
                     backend=self.backend,
                 )
-            return prog.run_batch(
-                values,
-                max_steps=self.max_steps,
-                return_exceptions=True,
-                backend=self.backend,
-            )
 
         try:
             results = await asyncio.get_running_loop().run_in_executor(
                 self._pool, work
             )
         except asyncio.CancelledError:
-            # close() cancelled the drainer mid-batch: the thread finishes
-            # harmlessly (close() waits on the pool), but these callers must
-            # not hang on futures nobody will resolve
+            # the drainer was cancelled mid-batch (a loop torn down without
+            # close(); close() itself waits): the thread finishes harmlessly,
+            # but these callers must not hang on futures nobody will resolve
             err = ServerClosed("server closed while the batch was executing")
             for _, fut, _ in batch:
                 if not fut.done():
@@ -455,11 +399,6 @@ class Server:
                 if not fut.done():
                     fut.set_exception(e)
                 self.metrics.observe_request(now - t_submit, ok=False)
-                if lane.ctrl is not None:
-                    lane.ctrl.observe(now - t_submit, ok=False)
-            if lane.ctrl is not None:
-                lane.ctrl.note_batch(len(batch))
-                lane.ctrl.maybe_adjust()
             return
         now = time.perf_counter()
         self.metrics.observe_batch(len(batch))
@@ -476,15 +415,14 @@ class Server:
                 else:
                     fut.set_exception(res)
             self.metrics.observe_request(now - t_submit, ok=ok)
-            if lane.ctrl is not None:
-                lane.ctrl.observe(now - t_submit, ok=ok)
             if tracer is not None:
                 tracer.add_complete(
                     "serve/request", t_submit, now - t_submit, "serve", {"ok": ok}
                 )
-        if lane.ctrl is not None:
-            lane.ctrl.note_batch(len(batch))
-            lane.ctrl.maybe_adjust()
+        if lane.ctrl is not None and not any(isinstance(r, BaseException) for r in results):
+            lane.ctrl.note_batch(
+                len(batch), sum(map(request_size, values)), now - t_dispatch
+            )
 
     # -- observability --------------------------------------------------------
 
@@ -530,26 +468,21 @@ class Server:
     async def close(self) -> None:
         """Stop the drainers, fail queued requests, release the thread pool.
 
-        Requests whose batch is already executing complete normally (the
-        in-flight batch is awaited via the lane's ``exec_lock`` before its
-        drainer is cancelled); requests still queued — or still forming a
-        batch — fail with :class:`ServerClosed`.
+        A batch that is already executing completes normally — its drainer
+        delivers the results, sees the server closed and returns; requests
+        still queued fail with :class:`ServerClosed`.
         """
         if self._closed:
             return
         self._closed = True
         for lane in self._lanes.values():
-            # let an in-flight batch deliver its results before cancelling
-            async with lane.exec_lock:
-                pass
-            if lane.drainer is not None:
+            if not lane.busy:  # waiting for a request: holds none
                 lane.drainer.cancel()
         for lane in self._lanes.values():
-            if lane.drainer is not None:
-                try:
-                    await lane.drainer
-                except asyncio.CancelledError:
-                    pass
+            try:
+                await lane.drainer
+            except asyncio.CancelledError:
+                pass
         err = ServerClosed("server closed with the request still queued")
         for lane in self._lanes.values():
             while True:

@@ -24,9 +24,10 @@ segment the parent adopts and decodes).  Segment lifecycle is explicit: a
 batch segment holds one reference per pending span and is unlinked when the
 last span completes; :meth:`ShardExecutor.close` force-releases everything,
 records what leaked, and sweeps orphans left by dead workers.  Where shared
-memory is unavailable the spans ship as pickle-5 out-of-band frames
-(``oob``), and programs whose inputs cannot be batch-encoded fall back to
-the legacy pickled-values wire format per batch.
+memory is unavailable — or a batch's segment cannot be created — the spans
+ship as pickle-5 out-of-band frames (``oob``).  A batch the parent cannot
+encode is the caller's error and never reaches a worker: it is answered by
+in-process ``run_batch``, which isolates the malformed request.
 
 When a compile cache is configured (:mod:`repro.cache`, ``REPRO_CACHE_DIR``
 or the ``cache=`` constructor knob), workers **warm from the cache instead
@@ -76,16 +77,10 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 
 from ..cache.store import ENV_DEFAULT, CompileCache, resolve_cache
-from ..compiler.batch import BatchError, run_batch_fields, split_shards
+from ..compiler.batch import ENCODE_ERRORS, BatchError, run_batch_fields, split_shards
 from ..nsc.values import Value, from_python
 from . import transport as _tp
-from .transport import (
-    TRANSPORT_OOB,
-    TRANSPORT_PICKLE,
-    TRANSPORT_SHM,
-    SegmentLedger,
-    resolve_transport,
-)
+from .transport import TRANSPORT_OOB, TRANSPORT_SHM, SegmentLedger, resolve_transport
 
 #: per-worker program cache bound — old entries are evicted LRU and
 #: transparently re-shipped on the next miss (the "need_prog" reply)
@@ -166,20 +161,12 @@ def _worker_main(in_q, out_q, cache_dir=None, cache_max_bytes=None) -> None:
             else:
                 cache.move_to_end(key)
             kind = payload[0]
-            if kind == TRANSPORT_PICKLE:
-                # legacy values-by-pickle wire format; an explicit per-call
-                # backend rides the message, the program's own pickled
-                # ``backend`` field applies otherwise
-                results = prog.run_batch(
-                    payload[1], max_steps=max_steps, return_exceptions=True,
-                    backend=backend,
-                )
-                out_q.put((task_id, shard_idx, _STATUS_OK, results))
-                continue
             if kind == TRANSPORT_SHM:
                 seg, fields = _tp.attach_span(payload[1], payload[2])
             else:  # TRANSPORT_OOB
                 fields = _tp.unpack_oob(payload[1], payload[2])
+            # an explicit per-call backend rides the message, the program's
+            # own pickled ``backend`` field applies otherwise
             tag, res = run_batch_fields(
                 prog, fields, count, max_steps=max_steps, backend=backend
             )
@@ -262,9 +249,9 @@ class ShardExecutor:
     ``n_workers`` defaults to the machine's core count.  ``start_method``
     defaults to ``fork`` where available (instant worker start; the plan
     caches and their locks are fork-safe, see ``repro.bvram.machine``),
-    falling back to ``spawn``.  ``transport`` selects the span wire format
-    (``shm`` / ``oob`` / ``pickle``; default: ``REPRO_SHARD_TRANSPORT``,
-    then the best available — see :mod:`repro.serving.transport`).
+    falling back to ``spawn``.  ``transport`` pins the span wire format to
+    ``shm`` or ``oob``; by default the executor takes ``shm`` where shared
+    memory works and ``oob`` otherwise (:mod:`repro.serving.transport`).
     Dispatch is serialised by an internal lock, so one executor may be
     shared by many threads (e.g. the server's executor threads).
     """
@@ -497,15 +484,6 @@ class ShardExecutor:
                     # task on this (still-alive) worker: drop and keep waiting
             return total
 
-    def _payload(self, kind, seg_name, bases, fields, views, chunk):
-        """The wire payload for one span under the chosen transport."""
-        if kind == TRANSPORT_SHM:
-            return (TRANSPORT_SHM, seg_name, _tp.span_descriptor(views, fields, bases))
-        if kind == TRANSPORT_OOB:
-            meta, frames = _tp.pack_oob(views)
-            return (TRANSPORT_OOB, meta, frames)
-        return (TRANSPORT_PICKLE, list(chunk))
-
     def _send(
         self,
         worker: _Worker,
@@ -567,6 +545,21 @@ class ShardExecutor:
         n_shards = shards or self.n_workers
         spans = split_shards(len(values), n_shards)
 
+        # encode ONCE, split into views.  A request that cannot be encoded
+        # is the caller's error: in-process run_batch isolates it, and a
+        # worker would only fail the same way
+        try:
+            vals = [v if isinstance(v, Value) else from_python(v) for v in values]
+            fields = [
+                np.asarray(f, dtype=np.int64) for f in prog.encode_batch_fields(vals)
+            ]
+        except ENCODE_ERRORS:
+            return prog.run_batch(
+                values, max_steps=max_steps, return_exceptions=return_exceptions,
+                backend=backend,
+            )
+        span_views = prog.split_batch_fields(fields, spans)
+
         with self._lock:
             # key/blob assignment must happen under the dispatch lock: two
             # threads registering different cold programs concurrently could
@@ -575,24 +568,7 @@ class ShardExecutor:
             self._task_counter += 1
             task_id = self._task_counter
 
-            # encode ONCE, split into views; a program that cannot express
-            # the flat transport (no ``dom``, encode failure) degrades this
-            # batch to the legacy pickled-values wire format
             kind = self.transport
-            fields = span_views = None
-            if kind != TRANSPORT_PICKLE:
-                try:
-                    vals = [
-                        v if isinstance(v, Value) else from_python(v) for v in values
-                    ]
-                    fields = [
-                        np.asarray(f, dtype=np.int64)
-                        for f in prog.encode_batch_fields(vals)
-                    ]
-                    span_views = prog.split_batch_fields(fields, spans)
-                except Exception:
-                    kind = TRANSPORT_PICKLE
-
             seg_name = None
             bases = None
             active = sum(1 for _, length in spans if length > 0)
@@ -600,8 +576,8 @@ class ShardExecutor:
                 try:
                     # one segment per batch, one reference per dispatched span
                     seg_name, bases = _tp.pack_fields(self._ledger, fields, active)
-                except Exception:
-                    kind = TRANSPORT_OOB  # shm ran dry mid-flight: degrade
+                except OSError:
+                    kind = TRANSPORT_OOB  # shm ran dry: this batch ships by value
 
             assignment = {}  # shard_idx -> (worker, offset, chunk)
             payloads = {}  # shard_idx -> wire payload (kept for resends)
@@ -614,11 +590,11 @@ class ShardExecutor:
                     continue
                 worker = self._workers[shard_idx % self.n_workers]
                 chunk = values[off : off + length]
-                payload = self._payload(
-                    kind, seg_name, bases, fields,
-                    span_views[shard_idx] if span_views is not None else None,
-                    chunk,
-                )
+                views = span_views[shard_idx]
+                if kind == TRANSPORT_SHM:
+                    payload = (kind, seg_name, _tp.span_descriptor(views, fields, bases))
+                else:
+                    payload = (kind, *_tp.pack_oob(views))
                 assignment[shard_idx] = (worker, off, chunk)
                 payloads[shard_idx] = payload
                 sent_at[shard_idx] = time.perf_counter()

@@ -1,41 +1,38 @@
-"""SLO-driven adaptive control for the serving scheduler.
+"""Admission control for the serving scheduler: price a request before it queues.
 
 The paper's cost model makes serving *predictable*: a batch's ``T'`` is the
-max over its requests (batching is one more segment level, Theorem 7.1) while
-``W'`` sums, and PR 7's measured fit ``wall ~ alpha*T' + beta*W'``
-(:func:`repro.obs.costcheck.cost_check`) turns those machine costs into
-seconds.  This module spends that predictability twice:
+max over its requests (batching is one more segment level, Theorem 7.1)
+while ``W'`` sums, so the wall time of one batched run is a per-batch term
+plus a term linear in the data it carries.  A :class:`LaneController` per
+program lane fits exactly that,
 
-* **auto-tuning** — a :class:`LaneController` per program lane watches the
-  lane's live p99 over its own small sliding window and AIMD-adjusts the
-  lane's effective ``max_batch`` / ``max_delay_ms`` against
-  ``SLOConfig.target_p99_ms``: over target halves both (multiplicative
-  decrease), comfortably under target grows them additively back toward the
-  server-wide caps.  The decrease clears the controller's window, so the
-  next verdict reflects the *new* knobs, not stale pre-tightening samples.
+    ``wall ~ a + b * sum(request_size)``
 
-* **admission control** — the controller calibrates ``alpha``/``beta`` by
-  profiling one representative request, then predicts each arrival's solo
-  wall time by scaling the calibrated ``W'`` with the request's size (the
-  paper's work measure is size-linear per element touched; ``T'`` is taken
-  as the calibrated depth, conservative for the usual fixed-program case).
-  A request predicted to blow the SLO on its own — or predicted
-  ``admit_factor`` times costlier than the calibrated baseline, which would
-  stretch every co-batched sibling's ``T' = max`` — is **rejected**
-  (:class:`AdmissionRejected`) or **lane-isolated** (run in a separate
-  lane so siblings keep their latency), per ``SLOConfig.mode``.
+over a bounded window of the batches the scheduler has already timed (``a``
+is the ``alpha*T'`` depth term, ``b*size`` the ``beta*W'`` term), and prices
+each arrival as a lone request.  One predicted to blow
+``SLOConfig.target_p99_ms`` on its own — or ``admit_factor`` times costlier
+than the lane's typical request, which would stretch every co-batched
+sibling's ``T' = max`` — is **rejected** (:class:`AdmissionRejected`) or
+**lane-isolated** (run in a separate lane so siblings keep their latency),
+per ``SLOConfig.mode``.
 
-Everything here is event-loop-side bookkeeping on plain floats; the only
-heavy call is the one-off calibration profile, which the scheduler runs on
-its executor thread alongside the first batch.
+Everything here is event-loop-side bookkeeping on plain floats: no profile
+run, no timer, and nothing to tune — the lane itself is work-conserving
+(:mod:`repro.serving.scheduler`), so batch size follows load without a
+controller.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .metrics import ServerMetrics
+from ..analysis.fit import linear_weights
+
+#: batches the fit looks back over; old traffic ages out, the fit stays cheap
+_FIT_WINDOW = 64
 
 
 class AdmissionRejected(RuntimeError):
@@ -47,8 +44,8 @@ class SLOConfig:
     """Declarative SLO for a :class:`repro.serving.Server`.
 
     ``target_p99_ms``
-        The latency objective: the controller tunes each lane until its
-        windowed p99 sits at or under this.
+        The latency objective: a request predicted to take longer than this
+        on its own is expensive.
     ``mode``
         What happens to a predicted-expensive request: ``"reject"`` raises
         :class:`AdmissionRejected` at submit time, ``"isolate"`` accepts it
@@ -56,36 +53,13 @@ class SLOConfig:
         never share its batch.
     ``admit_factor``
         Outlier threshold: a request predicted more than this many times the
-        calibrated baseline request's wall is expensive (it would stretch
-        the whole batch, ``T' = max``).  A request predicted over the target
-        on its own is always expensive, whatever the factor.
-    ``min_batch`` / ``min_delay_ms``
-        Floors for the multiplicative decrease — the controller never tunes
-        a lane below single-request dispatch.
-    ``adjust_every``
-        Batches between controller verdicts (gives a fresh window a chance
-        to fill before the next decision).
-    ``grow_headroom``
-        Fraction of the target under which the additive increase kicks in
-        (between ``grow_headroom * target`` and ``target`` the controller
-        holds steady — hysteresis against oscillation).
-    ``window``
-        The controller's private latency window (requests); small by design
-        so verdicts track the *current* knobs.
-    ``calibrate``
-        Set ``False`` to skip profiling (admission control then stays off;
-        p99 auto-tuning still runs).
+        lane's mean request is expensive (it would stretch the whole batch,
+        ``T' = max``).
     """
 
     target_p99_ms: float
     mode: str = "reject"
     admit_factor: float = 16.0
-    min_batch: int = 1
-    min_delay_ms: float = 0.0
-    adjust_every: int = 4
-    grow_headroom: float = 0.5
-    window: int = 256
-    calibrate: bool = True
 
     def __post_init__(self) -> None:
         if self.target_p99_ms <= 0:
@@ -94,14 +68,6 @@ class SLOConfig:
             raise ValueError(f"mode must be 'reject' or 'isolate', got {self.mode!r}")
         if self.admit_factor < 1.0:
             raise ValueError(f"admit_factor must be >= 1, got {self.admit_factor}")
-        if self.min_batch < 1:
-            raise ValueError(f"min_batch must be >= 1, got {self.min_batch}")
-        if not 0.0 < self.grow_headroom <= 1.0:
-            raise ValueError(
-                f"grow_headroom must be in (0, 1], got {self.grow_headroom}"
-            )
-        if self.adjust_every < 1:
-            raise ValueError(f"adjust_every must be >= 1, got {self.adjust_every}")
 
 
 def request_size(value: object) -> float:
@@ -127,171 +93,64 @@ def request_size(value: object) -> float:
 
 
 class LaneController:
-    """Per-lane SLO state: calibrated cost model + AIMD-tuned batch knobs.
+    """Per-lane admission state: the live fit ``wall ~ a + b * sum(size)``.
 
-    The scheduler reads :attr:`max_batch` / :attr:`max_delay_s` when forming
-    each batch, calls :meth:`calibrate` (executor thread) before the lane's
-    first run, :meth:`classify` at submit time, and :meth:`observe` /
-    :meth:`note_batch` after each completion.  All mutation happens on the
-    event-loop thread except ``calibrate``, which writes its results once
-    and is ordered before any ``classify`` can see ``calibrated=True``.
+    The scheduler calls :meth:`classify` at submit time and
+    :meth:`note_batch` after each batch whose requests all returned values
+    (a batch that hit the per-input trap loop is not what a request costs).
+    All of it runs on the event-loop thread.
     """
 
-    def __init__(
-        self, cfg: SLOConfig, hard_max_batch: int, hard_max_delay_s: float
-    ) -> None:
+    def __init__(self, cfg: SLOConfig) -> None:
         self.cfg = cfg
-        self.hard_max_batch = hard_max_batch
-        self.hard_max_delay_s = hard_max_delay_s
-        #: the lane's *effective* knobs (start at the server-wide caps)
-        self.max_batch = hard_max_batch
-        self.max_delay_s = hard_max_delay_s
-        #: private latency window — deliberately small, see SLOConfig.window
-        self.metrics = ServerMetrics(window=cfg.window)
-        self.calibrated = False
-        self.alpha_s = 0.0  #: fitted seconds per T' unit
-        self.beta_s = 0.0  #: fitted seconds per W' unit
-        self.t_cal = 0  #: calibrated T' (one representative request)
-        self.w_cal = 0  #: calibrated W'
-        self.size_cal = 1.0  #: calibrated request size
-        self._batches_since_adjust = 0
-        #: controller decisions, for observability
-        self.tightenings = 0
-        self.growths = 0
+        #: (requests, sum of their sizes, wall seconds) per timed batch
+        self._batches: deque[tuple[int, float, float]] = deque(maxlen=_FIT_WINDOW)
+        self.base_s = 0.0  #: ``a``: seconds per batch, whatever it carries
+        self.per_size_s = 0.0  #: ``b``: seconds per unit of request size
+        self.mean_size = 1.0  #: the lane's typical request, the outlier yardstick
 
-    # -- calibration ----------------------------------------------------------
-
-    def calibrate(self, prog, value: object) -> None:
-        """Fit alpha/beta by profiling ``value`` on ``prog`` (once, best-effort).
-
-        A trapping or unprofilable request leaves the controller
-        uncalibrated — admission control stays off, auto-tuning still works —
-        and the next batch's representative is tried instead.
-        """
-        if self.calibrated or not self.cfg.calibrate:
-            return
-        from ..obs.costcheck import cost_check
-
-        try:
-            report = prog.profile(value)
-            if report.error is not None or report.work <= 0:
-                return
-            fit = cost_check(report)
-            size = request_size(value)
-        except Exception:
-            return
-        self.alpha_s = max(fit.alpha_s, 0.0)
-        self.beta_s = max(fit.beta_s, 0.0)
-        if self.beta_s == 0.0:
-            # Degenerate fit (collinear blocks or timer noise priced W' at
-            # <= 0): with beta 0 a prediction never scales with request
-            # size, so admission control would be silently off.  Price the
-            # whole measured wall on W' instead — conservative: large
-            # requests are over-, never under-predicted.
-            self.alpha_s = 0.0
-            self.beta_s = max(report.wall_s, 1e-9) / report.work
-        self.t_cal = report.time
-        self.w_cal = report.work
-        self.size_cal = max(size, 1.0)
-        self.calibrated = True
-
-    # -- prediction + admission ----------------------------------------------
+    def note_batch(self, count: int, total_size: float, wall_s: float) -> None:
+        """Record one timed batch and refit."""
+        self._batches.append((count, total_size, wall_s))
+        counts, totals, walls = zip(*self._batches)
+        a = b = 0.0
+        if len(set(totals)) >= 2:
+            (a, b), _ = linear_weights([[1.0, size] for size in totals], walls)
+        if b <= 0.0:
+            # Equal-size batches (or timer noise) cannot separate the two
+            # terms, and with b <= 0 a prediction would never grow with the
+            # request: price the whole measured wall on size instead, so a
+            # large request is over-, never under-predicted.
+            a, b = 0.0, sum(walls) / max(sum(totals), 1.0)
+        self.base_s, self.per_size_s = max(a, 0.0), b
+        self.mean_size = max(sum(totals) / sum(counts), 1.0)
 
     def predict_request_s(self, value: object) -> Optional[float]:
-        """Predicted solo wall seconds for ``value`` (``None`` uncalibrated).
-
-        ``W'`` scales with the request's size relative to the calibration
-        request (the work measure is per-element); ``T'`` is held at the
-        calibrated depth — for a fixed program the depth is size-logarithmic
-        at worst, and under-predicting ``T'`` only makes admission more
-        permissive, never wrong.
-        """
-        if not self.calibrated:
+        """Predicted wall seconds for ``value`` run alone (``None`` before the first batch)."""
+        if not self._batches:
             return None
-        scale = request_size(value) / self.size_cal
-        return self.alpha_s * self.t_cal + self.beta_s * self.w_cal * scale
-
-    def predict_batch_s(self, values: list) -> Optional[float]:
-        """Predicted wall seconds for one batched run of ``values``.
-
-        The paper's batching property priced in seconds: ``T'`` is the max
-        over the batch (one more segment level), ``W'`` sums.
-        """
-        if not self.calibrated or not values:
-            return None
-        scales = [request_size(v) / self.size_cal for v in values]
-        return self.alpha_s * self.t_cal + self.beta_s * self.w_cal * sum(scales)
+        return self.base_s + self.per_size_s * request_size(value)
 
     def classify(self, value: object) -> Optional[str]:
         """``None`` to admit normally, else the configured expensive-mode.
 
         Expensive = predicted solo wall over the SLO target (it cannot meet
-        the target even alone), or over ``admit_factor`` times the
-        calibrated baseline (it would stretch every sibling, ``T' = max``).
+        the target even alone), or over ``admit_factor`` times the lane's
+        mean request (it would stretch every sibling, ``T' = max``).
         """
         pred = self.predict_request_s(value)
         if pred is None:
             return None
-        target_s = self.cfg.target_p99_ms / 1000.0
-        baseline = self.alpha_s * self.t_cal + self.beta_s * self.w_cal
-        if pred > target_s or (baseline > 0 and pred > self.cfg.admit_factor * baseline):
+        baseline = self.base_s + self.per_size_s * self.mean_size
+        if pred > self.cfg.target_p99_ms / 1000.0 or pred > self.cfg.admit_factor * baseline:
             return self.cfg.mode
         return None
-
-    # -- feedback loop ---------------------------------------------------------
-
-    def observe(self, latency_s: float, ok: bool) -> None:
-        self.metrics.observe_request(latency_s, ok=ok)
-
-    def note_batch(self, size: int) -> None:
-        self.metrics.observe_batch(size)
-        self._batches_since_adjust += 1
-
-    def maybe_adjust(self) -> bool:
-        """Run one AIMD verdict if due; True when a knob changed."""
-        if self._batches_since_adjust < self.cfg.adjust_every:
-            return False
-        self._batches_since_adjust = 0
-        p99 = self.metrics.p99_latency_s
-        if p99 is None:
-            return False
-        target_s = self.cfg.target_p99_ms / 1000.0
-        if p99 > target_s:
-            new_batch = max(self.cfg.min_batch, self.max_batch // 2)
-            new_delay = max(self.cfg.min_delay_ms / 1000.0, self.max_delay_s / 2)
-            changed = (new_batch, new_delay) != (self.max_batch, self.max_delay_s)
-            self.max_batch, self.max_delay_s = new_batch, new_delay
-            if changed:
-                self.tightenings += 1
-                # stale samples were measured under the old, looser knobs;
-                # the next verdict must reflect the new ones
-                self.metrics = ServerMetrics(window=self.cfg.window)
-            return changed
-        if p99 < self.cfg.grow_headroom * target_s:
-            new_batch = min(self.hard_max_batch, self.max_batch + 1)
-            new_delay = min(
-                self.hard_max_delay_s,
-                self.max_delay_s + self.hard_max_delay_s / 8.0,
-            )
-            changed = (new_batch, new_delay) != (self.max_batch, self.max_delay_s)
-            self.max_batch, self.max_delay_s = new_batch, new_delay
-            if changed:
-                self.growths += 1
-            return changed
-        return False
 
     def snapshot(self) -> dict:
         """JSON-able controller state for the metrics endpoint."""
         return {
-            "max_batch": self.max_batch,
-            "max_delay_ms": round(self.max_delay_s * 1000.0, 3),
-            "calibrated": self.calibrated,
-            "alpha_s_per_t": self.alpha_s,
-            "beta_s_per_w": self.beta_s,
-            "t_cal": self.t_cal,
-            "w_cal": self.w_cal,
-            "size_cal": self.size_cal,
-            "tightenings": self.tightenings,
-            "growths": self.growths,
-            "window_p99_s": self.metrics.p99_latency_s,
+            "base_s": self.base_s,
+            "per_size_s": self.per_size_s,
+            "mean_size": self.mean_size,
+            "batches": len(self._batches),
         }

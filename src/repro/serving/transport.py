@@ -14,7 +14,7 @@ as read-only views into the mapping and runs without any per-span re-encode.
 Results return the same way: the batched twin's output registers are again
 flat vectors, copied once into a worker-created segment the parent adopts.
 
-Three transports, best first:
+Two transports, best first:
 
 ``shm``
     Shared-memory segments as above.  One segment per dispatched batch
@@ -27,9 +27,6 @@ Three transports, best first:
     payload crossing the queue is a tiny metadata pickle plus raw
     out-of-band frames — a straight ``memcpy`` of contiguous buffers, still
     no S-object graph walk and no per-span re-encode.
-``pickle``
-    The legacy values-by-pickle wire format, kept for programs whose inputs
-    cannot be batch-encoded (and as an escape hatch, ``REPRO_SHARD_TRANSPORT=pickle``).
 
 Resource-tracker discipline (the part everyone gets wrong): Python's
 ``resource_tracker`` registers a segment not only on create but *also on
@@ -69,11 +66,7 @@ except ImportError:  # pragma: no cover
 
 TRANSPORT_SHM = "shm"
 TRANSPORT_OOB = "oob"
-TRANSPORT_PICKLE = "pickle"
-TRANSPORTS = (TRANSPORT_SHM, TRANSPORT_OOB, TRANSPORT_PICKLE)
-
-#: environment override for the executor's transport choice
-ENV_TRANSPORT = "REPRO_SHARD_TRANSPORT"
+TRANSPORTS = (TRANSPORT_SHM, TRANSPORT_OOB)
 
 #: every segment name starts with this; the orphan sweep globs for it
 SEGMENT_PREFIX = "repro-shard"
@@ -101,24 +94,20 @@ def shm_available() -> bool:
 
 
 def resolve_transport(requested: Optional[str] = None) -> str:
-    """The effective transport: explicit arg, else env, else best available.
+    """The effective transport: ``shm`` when the probe succeeds, else ``oob``.
 
-    ``"auto"`` (and the unset default) picks ``shm`` when the probe
-    succeeds and ``oob`` otherwise; an explicit ``shm`` request also
-    degrades to ``oob`` when the platform has no shared memory — the
-    transports are semantically identical, so silently falling back is
-    safer than failing dispatch.
+    ``requested`` narrows the choice to one wire format (the benchmark and
+    the fuzz legs measure each on its own); asking for ``shm`` where the
+    platform has no shared memory still gives ``oob`` — the two are
+    semantically identical, so falling back is safer than failing dispatch.
     """
-    name = requested or os.environ.get(ENV_TRANSPORT) or "auto"
-    if name == "auto":
-        return TRANSPORT_SHM if shm_available() else TRANSPORT_OOB
-    if name not in TRANSPORTS:
+    if requested is not None and requested not in TRANSPORTS:
         raise ValueError(
-            f"unknown shard transport {name!r} (choose from {', '.join(TRANSPORTS)} or auto)"
+            f"unknown shard transport {requested!r} (choose from {', '.join(TRANSPORTS)})"
         )
-    if name == TRANSPORT_SHM and not shm_available():
+    if requested == TRANSPORT_OOB or not shm_available():
         return TRANSPORT_OOB
-    return name
+    return TRANSPORT_SHM
 
 
 def _unregister(name: str) -> None:

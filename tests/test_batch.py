@@ -247,14 +247,58 @@ def test_omega_trap_names_failing_batch_index():
         prog.run_batch([3, 0, 7])
 
 
-def test_trap_does_not_corrupt_sibling_results():
-    prog = compile_nsc(_div_by_input())
-    out = prog.run_batch([5, 0, 4], return_exceptions=True)
-    assert out[0] == from_python(20)
-    assert out[2] == from_python(25)
+# a request the machine traps on, and the three ways one can fail to encode
+ISOLATION_CASES = [
+    pytest.param(_div_by_input, [5, 0, 4], id="trap"),
+    pytest.param(_square_map, [[1, 2, 3], [2**63, 1], [4, 5, 6]], id="too_wide"),
+    pytest.param(_square_map, [[1, 2, 3], [-1, 3], [4, 5, 6]], id="negative"),
+    pytest.param(_square_map, [[1, 2, 3], [[1], 2], [4, 5, 6]], id="wrong_shape"),
+]
+
+
+@pytest.mark.parametrize("make_fn,batch", ISOLATION_CASES)
+def test_trap_does_not_corrupt_sibling_results(make_fn, batch):
+    prog = compile_nsc(make_fn())
+    with pytest.raises(Exception) as solo:
+        prog.run(batch[1])
+    out = prog.run_batch(batch, return_exceptions=True)
+    assert out[0] == prog.run(batch[0])[0]
+    assert out[2] == prog.run(batch[2])[0]
     assert isinstance(out[1], BatchError) and out[1].index == 1
-    # and the trap did not poison later batches on the same program
-    assert prog.run_batch([10, 20]) == [from_python(10), from_python(5)]
+    assert out[1].cause_text == str(solo.value)
+    # without isolation a trap is a BatchError naming the index, a request
+    # that cannot be encoded keeps the exception a lone run() raises
+    with pytest.raises(Exception) as whole:
+        prog.run_batch(batch)
+    if isinstance(solo.value, BVRAMError):
+        assert isinstance(whole.value, BatchError) and whole.value.index == 1
+    else:
+        assert type(whole.value) is type(solo.value)
+    # and the failure did not poison later batches on the same program
+    assert prog.run_batch([batch[0], batch[2]]) == [out[0], out[2]]
+
+
+def test_batched_time_is_max_not_sum():
+    """Theorem 7.1 for a batch: ``T'`` tracks the slowest request, ``W'`` the total.
+
+    Loops synchronise across batch slots, so the batched instruction count
+    stays near the single-request maximum while a serving loop pays the sum.
+    """
+    from repro.compiler.difftest import _collatz_steps
+
+    for fn, batch in [
+        (_square_map(), [[i, i + 1, (i * 13) % 97] for i in range(32)]),
+        (_collatz_steps(), [[(i * 37) % 200 + 1, i + 1] for i in range(32)]),
+    ]:
+        prog = compile_nsc(fn)
+        singles = [prog.run(v)[1] for v in batch]
+        twin = batched_program(prog)
+        res = BVRAM(twin.n_registers).run(
+            twin, twin.encode_batch_input([from_python(v) for v in batch]),
+            record_trace=False,
+        )
+        assert res.time < sum(r.time for r in singles) / 4
+        assert res.work >= max(r.work for r in singles)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,26 @@ def test_differential_suite(eps):
     assert not bad, f"differential failures at eps={eps}:\n{detail}"
 
 
+def test_cost_envelope_holds_as_the_input_grows():
+    """Theorem 7.1 as scaling, not one size: T'/T bounded, W' under W^(1+eps)."""
+    from repro.analysis import loglog_slope
+    from repro.compiler.difftest import _collatz_steps
+
+    fn = _collatz_steps()  # map(while) with a skewed iteration profile
+    prog = compile_nsc(fn, eps=0.5)
+    sizes = [64, 256, 1024]
+    recs = [
+        run_differential(f"collatz[{n}]", fn, [i % 511 for i in range(n)], compiled=prog)
+        for n in sizes
+    ]
+    assert all(rec.value_matches for rec in recs)
+    t_ratio = [rec.bvram_time / rec.interp_time for rec in recs]
+    assert max(t_ratio) <= 3 * min(t_ratio) + 1  # no growth with n
+    assert all(rec.bvram_work <= rec.interp_work**1.5 for rec in recs)
+    # iterations are bounded by 511, so W' itself grows near-linearly in n
+    assert loglog_slope(sizes, [rec.bvram_work for rec in recs]).slope <= 1.35
+
+
 def test_compiled_identity_function():
     x = B.gensym("x")
     prog = compile_nsc(B.lam(x, seq(NAT), B.v(x)))

@@ -11,6 +11,7 @@ appears when ``shards`` exceeds the batch size.
 
 from __future__ import annotations
 
+import errno
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from repro.compiler import BatchError, compile_nsc
 from repro.compiler.batch import split_shards
 from repro.nsc import builder as B
 from repro.nsc.types import NAT, SeqType
+from repro.nsc.values import from_python
 from repro.serving import ShardExecutor, ShardExecutorClosed
 from repro.serving import transport as _tp
 
@@ -183,7 +185,7 @@ def test_survives_worker_death(executor, get_prog):
 # -- zero-copy transports -----------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", ["shm", "oob", "pickle"])
+@pytest.mark.parametrize("transport", _tp.TRANSPORTS)
 def test_transports_agree_including_traps(transport, get_prog):
     ex = ShardExecutor(n_workers=2, transport=transport)
     try:
@@ -199,6 +201,76 @@ def test_transports_agree_including_traps(transport, get_prog):
             ex.run_batch(get_prog, batch, shards=4)
         assert ei.value.index == 3
         assert ex._ledger.live() == []  # no batch leaves a live segment
+    finally:
+        ex.close()
+    assert ex.leaked_segments == []
+
+
+# the three ways a request can fail to encode: over-wide, negative, wrong shape
+UNENCODABLE = [[2**63, 1], [-1, 3], [[1], 2]]
+
+
+@pytest.mark.parametrize("transport", _tp.TRANSPORTS)
+@pytest.mark.parametrize("bad", UNENCODABLE, ids=["too_wide", "negative", "wrong_shape"])
+def test_unencodable_request_fails_alone(transport, bad):
+    prog = compile_nsc(_affine_fn())
+    batch = [[1, 2, 3], bad, [4, 5, 6], [7]]
+    ex = ShardExecutor(n_workers=2, transport=transport)
+    try:
+        results = ex.run_batch(prog, batch, shards=2, return_exceptions=True)
+        assert isinstance(results[1], BatchError) and results[1].index == 1
+        for i in (0, 2, 3):
+            assert results[i] == prog.run(batch[i])[0]
+        # without isolation the caller sees the original exception type
+        with pytest.raises(Exception) as ei:
+            ex.run_batch(prog, batch, shards=2)
+        with pytest.raises(type(ei.value)):
+            prog.run(bad)
+        assert not isinstance(ei.value, BatchError)
+        assert ex._ledger.live() == []
+        # a caller error is not an infrastructure failure
+        assert sum(w.stats["errors"] + w.stats["fallback_spans"] for w in ex._workers) == 0
+    finally:
+        ex.close()
+    assert ex.leaked_segments == []
+
+
+@pytest.mark.skipif(not _tp.shm_available(), reason="no shared memory here")
+def test_shm_exhaustion_falls_back_for_one_batch(get_prog, monkeypatch):
+    # injected fault: the batch segment cannot be created (ENOSPC on
+    # /dev/shm); that batch ships by value, nothing leaks, the next is shm again
+    batch = [[i] for i in range(8)]
+    batch[3] = []  # and traps still land on their global index
+    expected = get_prog.run_batch(batch, return_exceptions=True)
+    real_pack = _tp.pack_fields
+    calls = []
+
+    def full_once(ledger, fields, refs):
+        calls.append(refs)
+        if len(calls) == 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_pack(ledger, fields, refs)
+
+    monkeypatch.setattr(_tp, "pack_fields", full_once)
+    ex = ShardExecutor(n_workers=2, transport="shm")
+    try:
+        for _ in range(2):
+            results = ex.run_batch(get_prog, batch, shards=4, return_exceptions=True)
+            assert [type(r) for r in results] == [type(r) for r in expected]
+            assert [r.index for r in results if isinstance(r, BatchError)] == [3]
+            assert [r for r in results if not isinstance(r, BatchError)] == [
+                r for r in expected if not isinstance(r, BatchError)
+            ]
+            assert ex._ledger.live() == []
+        assert len(calls) == 2
+        assert ex.transport == "shm"
+        assert ex._ledger.created == 1  # only the second batch got a segment
+        # a programming error in segment creation is not served by the fallback
+        monkeypatch.setattr(
+            _tp, "pack_fields", lambda *a: (_ for _ in ()).throw(KeyError("bug"))
+        )
+        with pytest.raises(KeyError):
+            ex.run_batch(get_prog, batch, shards=4)
     finally:
         ex.close()
     assert ex.leaked_segments == []
@@ -230,14 +302,15 @@ def test_kill_during_result_put_does_not_wedge():
     # mid-write, then prove the executor still serves.
     from repro.serving.shard import _KIND_SPAN
 
-    ex = ShardExecutor(n_workers=2, transport="pickle")
+    ex = ShardExecutor(n_workers=2, transport="oob")
     try:
         prog = compile_nsc(_affine_fn())
         key, blob, _digest = ex._blob_for(prog)
         victim = ex._workers[0]
-        big = [list(range(60_000))]  # result pickle ~ several hundred KB
+        # the result's out-of-band frames (~480 KB) cross the same pipe
+        big = prog.encode_batch_fields([from_python(list(range(60_000)))])
         victim.in_q.put(
-            (_KIND_SPAN, 10**9, 0, key, blob, None, ("pickle", big), 1,
+            (_KIND_SPAN, 10**9, 0, key, blob, None, ("oob", *_tp.pack_oob(big)), 1,
              10_000_000, None)
         )
         time.sleep(1.0)  # let the worker compute and block writing the result

@@ -102,14 +102,15 @@ def test_split_batch_views_share_memory():
 # -- transport resolution -----------------------------------------------------
 
 def test_resolve_transport(monkeypatch):
-    monkeypatch.delenv(tp.ENV_TRANSPORT, raising=False)
-    assert tp.resolve_transport("pickle") == "pickle"
+    assert tp.TRANSPORTS == ("shm", "oob")
     assert tp.resolve_transport("oob") == "oob"
-    assert tp.resolve_transport(None) in ("shm", "oob")
-    monkeypatch.setenv(tp.ENV_TRANSPORT, "oob")
-    assert tp.resolve_transport(None) == "oob"
-    with pytest.raises(ValueError):
-        tp.resolve_transport("carrier-pigeon")
+    best = "shm" if tp.shm_available() else "oob"
+    assert tp.resolve_transport(None) == tp.resolve_transport("shm") == best
+    monkeypatch.setattr(tp, "_shm_probe", False)  # a platform without shm
+    assert tp.resolve_transport(None) == tp.resolve_transport("shm") == "oob"
+    for gone in ("pickle", "auto", "carrier-pigeon"):
+        with pytest.raises(ValueError):
+            tp.resolve_transport(gone)
 
 
 # -- shm codec ----------------------------------------------------------------
