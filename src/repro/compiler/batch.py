@@ -161,16 +161,16 @@ def run_batch(
     backend: Optional[str] = None,
 ) -> list[Value]:
     """Run ``prog`` on every input in ``values``; see the module docstring."""
+    if not values:
+        return []
+    twin = batched_program(prog)
     try:
         vals = [v if isinstance(v, Value) else from_python(v) for v in values]
-        if not vals:
-            return []
-        twin = batched_program(prog)
         if twin is not None:
             with _span("batch/encode", "serve", batch=len(vals)):
                 inputs = twin.encode_batch_input(vals)
     except ENCODE_ERRORS:
-        # one request is malformed: the loop below re-marshals each input on
+        # one request is malformed: the loop below marshals each input on
         # its own, so only the offender fails
         twin, vals = None, values
     if twin is not None:
@@ -259,16 +259,26 @@ def _run_batch_fallback(
     """Per-input loop: one fresh machine per input, failures isolated."""
     out: list[Value] = []
     for i, v in enumerate(vals):
+        # only marshalling is the request's own error here; whatever else
+        # the machine or the decoder raises is a bug and propagates
         try:
-            value, _ = prog.run(v, max_steps=max_steps, backend=backend)
-        except (BVRAMError, *ENCODE_ERRORS) as e:
+            inputs = prog.encode_input(v)
+        except ENCODE_ERRORS as e:
             if not return_exceptions:
-                if isinstance(e, BVRAMError):
-                    raise BatchError.at(i, str(e)) from e
                 raise  # a malformed request keeps its own exception type
             out.append(BatchError.at(i, str(e)))
             continue
-        out.append(value)
+        try:
+            res = BVRAM(prog.n_registers).run(
+                prog, inputs, max_steps=max_steps, record_trace=False, backend=backend
+            )
+        except BVRAMError as e:
+            err = BatchError.at(i, str(e))
+            if not return_exceptions:
+                raise err from e
+            out.append(err)
+            continue
+        out.append(prog.decode_output(res.registers))
     return out
 
 

@@ -6,10 +6,9 @@ policy either.  :class:`Server` is a work-conserving lane per program:
 
 * requests to the same program queue in a per-program *lane* (a bounded
   ``asyncio.Queue`` — the bound is the backpressure surface);
-* a drainer task per lane awaits the first request and, as soon as an
-  executor thread is free, takes whatever else is queued (up to
-  ``max_batch``) and dispatches it as **one** ``run_batch`` call — it never
-  waits for company, so a lone request runs at once;
+* a drainer task per lane awaits the first request, takes whatever else is
+  queued (up to ``max_batch``) and dispatches it as **one** ``run_batch``
+  call — it never waits for company, so a lone request runs at once;
 * the machine run happens on an executor thread, so the event loop keeps
   accepting requests while a batch executes — the next batch forms during
   the current one, and batch size follows load by itself;
@@ -37,6 +36,7 @@ import json
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Optional, Union
 
 from ..cache.store import ENV_DEFAULT, resolve_cache
@@ -181,10 +181,6 @@ class Server:
             max_workers=worker_threads, thread_name_prefix="repro-serve"
         )
         self._closed = False
-        #: one permit per executor thread: a lane cuts its batch only when a
-        #: thread is free to run it, so with several lanes on one thread the
-        #: requests that arrive while another lane executes still ride along
-        self._threads = asyncio.Semaphore(worker_threads)
         self._compiled: OrderedDict[int, tuple[object, CompiledProgram]] = OrderedDict()
 
     # -- program resolution --------------------------------------------------
@@ -322,31 +318,28 @@ class Server:
     async def _drain(self, lane: _Lane) -> None:
         """Await a request, take what else is queued, run it; until closed.
 
-        The batch is cut when an executor thread is free and the loop comes
-        back to the queue once it has finished, so whatever arrived meanwhile
-        is the next batch: its size follows load, a lone request runs at once.
+        The loop comes back to the queue once the batch has finished, so
+        whatever arrived meanwhile is the next batch: its size follows load,
+        a lone request runs at once.  Nothing between the ``get`` and the
+        dispatch awaits, so a cancel never lands with a request in hand.
         """
         q = lane.queue
         while not self._closed:
             batch = [await q.get()]  # block until there is work
             lane.busy = True
-            async with self._threads:
-                while len(batch) < self.max_batch:
-                    try:
-                        batch.append(q.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-                self.metrics.queue_depth = self._depth()
-                await self._execute(lane, batch)
+            while len(batch) < self.max_batch:
+                try:
+                    batch.append(q.get_nowait())
+                except asyncio.QueueEmpty:
+                    break
+            self.metrics.queue_depth = self._depth()
+            await self._execute(lane, batch)
             lane.busy = False
-
-    def _trace(self) -> Optional[Trace]:
-        return self.tracer if self.tracer is not None else current_trace()
 
     async def _execute(self, lane: _Lane, batch: list) -> None:
         values = [value for value, _, _ in batch]
         prog = lane.prog
-        tracer = self._trace()
+        tracer = self.tracer if self.tracer is not None else current_trace()
         t_dispatch = time.perf_counter()
         if tracer is not None:
             # enqueue -> batch-form wait, one event per co-batched request
@@ -355,32 +348,29 @@ class Server:
                     "serve/queued", t_submit, t_dispatch - t_submit, "serve"
                 )
 
+        if self.executor is not None and len(values) >= self.shard_threshold:
+            run = partial(self.executor.run_batch, prog, shards=self.shards)
+        else:
+            run = prog.run_batch
+
         def work():
             # executor threads do not inherit the loop task's contextvars;
             # re-activate the tracer so batch/encode-execute-decode spans
-            # (repro.compiler.batch) land in the same trace
+            # (repro.compiler.batch) land in the same trace.  The wall the
+            # admission fit learns from is taken here, on the thread, so it
+            # never includes the wait for a thread another lane is using.
+            t0 = time.perf_counter()
             with activate(tracer):
-                if (
-                    self.executor is not None
-                    and len(values) >= self.shard_threshold
-                ):
-                    return self.executor.run_batch(
-                        prog,
-                        values,
-                        shards=self.shards,
-                        max_steps=self.max_steps,
-                        return_exceptions=True,
-                        backend=self.backend,
-                    )
-                return prog.run_batch(
+                results = run(
                     values,
                     max_steps=self.max_steps,
                     return_exceptions=True,
                     backend=self.backend,
                 )
+            return results, time.perf_counter() - t0
 
         try:
-            results = await asyncio.get_running_loop().run_in_executor(
+            results, run_s = await asyncio.get_running_loop().run_in_executor(
                 self._pool, work
             )
         except asyncio.CancelledError:
@@ -420,9 +410,7 @@ class Server:
                     "serve/request", t_submit, now - t_submit, "serve", {"ok": ok}
                 )
         if lane.ctrl is not None and not any(isinstance(r, BaseException) for r in results):
-            lane.ctrl.note_batch(
-                len(batch), sum(map(request_size, values)), now - t_dispatch
-            )
+            lane.ctrl.note_batch(len(batch), sum(map(request_size, values)), run_s)
 
     # -- observability --------------------------------------------------------
 
@@ -485,11 +473,8 @@ class Server:
                 pass
         err = ServerClosed("server closed with the request still queued")
         for lane in self._lanes.values():
-            while True:
-                try:
-                    _, fut, _ = lane.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
+            while not lane.queue.empty():
+                _, fut, _ = lane.queue.get_nowait()
                 if not fut.done():
                     fut.set_exception(err)
         # the drain above emptied every queue without going through the

@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..analysis.fit import linear_weights
+from ..nsc.values import Value
 
 #: batches the fit looks back over; old traffic ages out, the fit stays cheap
 _FIT_WINDOW = 64
@@ -78,8 +78,6 @@ def request_size(value: object) -> float:
     is one unit).  Iterative, so deeply nested request data cannot overflow
     the recursion limit.
     """
-    from ..nsc.values import Value
-
     if isinstance(value, Value):
         return float(value.size)
     total = 0
@@ -98,36 +96,54 @@ class LaneController:
     The scheduler calls :meth:`classify` at submit time and
     :meth:`note_batch` after each batch whose requests all returned values
     (a batch that hit the per-input trap loop is not what a request costs).
-    All of it runs on the event-loop thread.
+    All of it runs on the event-loop thread, in constant time per call: the
+    two-parameter least squares is closed-form over five running sums.
     """
 
     def __init__(self, cfg: SLOConfig) -> None:
         self.cfg = cfg
-        #: (requests, sum of their sizes, wall seconds) per timed batch
-        self._batches: deque[tuple[int, float, float]] = deque(maxlen=_FIT_WINDOW)
+        #: per timed batch: 1, requests, x = sum of their sizes, y = wall
+        #: seconds, x*x, x*y — and the column sums over the window
+        self._batches: deque[tuple[float, ...]] = deque()
+        self._sums = [0.0] * 6
+        self._warm = False
         self.base_s = 0.0  #: ``a``: seconds per batch, whatever it carries
         self.per_size_s = 0.0  #: ``b``: seconds per unit of request size
         self.mean_size = 1.0  #: the lane's typical request, the outlier yardstick
 
     def note_batch(self, count: int, total_size: float, wall_s: float) -> None:
         """Record one timed batch and refit."""
-        self._batches.append((count, total_size, wall_s))
-        counts, totals, walls = zip(*self._batches)
-        a = b = 0.0
-        if len(set(totals)) >= 2:
-            (a, b), _ = linear_weights([[1.0, size] for size in totals], walls)
-        if b <= 0.0:
+        if not self._warm:
+            # a lane's first batch pays the lazy batched-twin compile and
+            # the plan build: that wall is not what a request costs
+            self._warm = True
+            return
+        row = (1.0, count, total_size, wall_s, total_size * total_size, total_size * wall_s)
+        self._batches.append(row)
+        self._sums = [s + t for s, t in zip(self._sums, row)]
+        if len(self._batches) > _FIT_WINDOW:
+            self._sums = [s - t for s, t in zip(self._sums, self._batches.popleft())]
+        n, requests, sx, sy, sxx, sxy = self._sums
+        det = n * sxx - sx * sx  # n^2 * var(x): zero when every total is equal
+        b = (n * sxy - sx * sy) / det if det > 1e-9 * n * sxx else 0.0
+        if b > 0.0:
+            a = (sy - b * sx) / n
+        else:
             # Equal-size batches (or timer noise) cannot separate the two
             # terms, and with b <= 0 a prediction would never grow with the
             # request: price the whole measured wall on size instead, so a
             # large request is over-, never under-predicted.
-            a, b = 0.0, sum(walls) / max(sum(totals), 1.0)
+            a, b = 0.0, sy / max(sx, 1.0)
         self.base_s, self.per_size_s = max(a, 0.0), b
-        self.mean_size = max(sum(totals) / sum(counts), 1.0)
+        self.mean_size = max(sx / requests, 1.0)
 
     def predict_request_s(self, value: object) -> Optional[float]:
-        """Predicted wall seconds for ``value`` run alone (``None`` before the first batch)."""
-        if not self._batches:
+        """Predicted wall seconds for ``value`` run alone.
+
+        ``None`` until two warm batches have been timed: one sample is one
+        host hiccup away from refusing a lane's whole traffic.
+        """
+        if len(self._batches) < 2:
             return None
         return self.base_s + self.per_size_s * request_size(value)
 
@@ -142,9 +158,8 @@ class LaneController:
         if pred is None:
             return None
         baseline = self.base_s + self.per_size_s * self.mean_size
-        if pred > self.cfg.target_p99_ms / 1000.0 or pred > self.cfg.admit_factor * baseline:
-            return self.cfg.mode
-        return None
+        limit = min(self.cfg.target_p99_ms / 1000.0, self.cfg.admit_factor * baseline)
+        return self.cfg.mode if pred > limit else None
 
     def snapshot(self) -> dict:
         """JSON-able controller state for the metrics endpoint."""

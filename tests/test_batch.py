@@ -278,6 +278,21 @@ def test_trap_does_not_corrupt_sibling_results(make_fn, batch):
     assert prog.run_batch([batch[0], batch[2]]) == [out[0], out[2]]
 
 
+def test_a_bug_in_the_per_input_loop_is_not_a_request_error(monkeypatch):
+    # isolation covers traps and marshalling only: a ValueError out of the
+    # machine is a bug and must not come back as one request's BatchError
+    prog = compile_nsc(_div_by_input())
+    prog.run_batch([5, 0, 4], return_exceptions=True)  # compile the twin first
+    errors = iter([BVRAMError("the batched run traps")])
+
+    def broken(self, *args, **kwargs):
+        raise next(errors, ValueError("kernel bug"))  # then the loop's runs
+
+    monkeypatch.setattr(BVRAM, "run", broken)
+    with pytest.raises(ValueError, match="kernel bug"):
+        prog.run_batch([5, 0, 4], return_exceptions=True)
+
+
 def test_batched_time_is_max_not_sum():
     """Theorem 7.1 for a batch: ``T'`` tracks the slowest request, ``W'`` the total.
 

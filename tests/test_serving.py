@@ -151,29 +151,6 @@ def test_backlog_behind_a_running_batch_is_the_next_batch(affine_prog, backlog, 
     assert sorted(srv.metrics.batch_sizes.elements()) == sorted(sizes)
 
 
-def test_lane_waiting_for_the_thread_keeps_collecting(affine_prog):
-    # two lanes, one executor thread: while lane A's batch holds the thread,
-    # lane B's requests must end up in ONE batch, cut when the thread is free
-    # — not a batch of one frozen in the pool's queue at its first arrival
-    other = compile_nsc(_affine_fn())
-
-    async def main():
-        gate_a, gate_b = _Gate(affine_prog), _Gate(other)
-        gate_b.release.set()
-        async with Server(max_batch=8, worker_threads=1) as srv:
-            futs = [srv.try_submit(gate_a.prog, [1])]
-            await gate_a.executing(srv)
-            for i in range(3):
-                futs.append(srv.try_submit(gate_b.prog, [i]))
-                await asyncio.sleep(0)  # B's drainer runs between arrivals
-            assert gate_b.sizes == []
-            gate_a.release.set()
-            await asyncio.gather(*futs)
-            return gate_b.sizes
-
-    assert asyncio.run(main()) == [3]
-
-
 @pytest.mark.parametrize(
     "make_fn,bad",
     [
@@ -270,6 +247,33 @@ def test_close_fails_queued_requests(affine_prog):
             with pytest.raises(ServerClosed):
                 await fut
         assert gate.sizes == [1]
+
+    asyncio.run(main())
+
+
+def test_close_with_a_second_lane_waiting_for_the_thread(affine_prog):
+    # one executor thread, lane A's batch holds it: lane B's first request is
+    # already dispatched (taken, so delivered), its later ones are only queued
+    # and must not run after close()
+    async def main():
+        gate_a, gate_b = _Gate(affine_prog), _Gate(compile_nsc(_affine_fn()))
+        gate_b.release.set()
+        srv = Server(max_batch=8, worker_threads=1)
+        fut_a = srv.try_submit(gate_a.prog, [1])
+        await gate_a.executing(srv)
+        taken = srv.try_submit(gate_b.prog, [2])
+        await asyncio.sleep(0)  # B's drainer dispatches it behind A's batch
+        queued = [srv.try_submit(gate_b.prog, [i]) for i in range(3)]
+        closing = asyncio.create_task(srv.close())
+        await asyncio.sleep(0)
+        gate_a.release.set()
+        await closing
+        assert await fut_a == affine_prog.run([1])[0]
+        assert await taken == affine_prog.run([2])[0]
+        for fut in queued:
+            with pytest.raises(ServerClosed):
+                await fut
+        assert gate_b.sizes == [1]
 
     asyncio.run(main())
 

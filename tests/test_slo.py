@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import copy
 import dataclasses
+import time
 
 import pytest
 
+from repro.compiler import compile_nsc
 from repro.nsc import builder as B
 from repro.nsc.lib import reduce_add
 from repro.nsc.types import NAT
@@ -54,10 +57,19 @@ def test_request_size_deep_no_recursion_error():
 # the live fit, in isolation
 
 
+def _warm_controller(cfg: SLOConfig) -> LaneController:
+    """A controller past its lane's first batch, which the fit never sees:
+    that one pays the lazy twin compile and the plan build."""
+    ctrl = LaneController(cfg)
+    ctrl.note_batch(1, 10.0, 30.0)  # a 30 s "cold" wall
+    assert ctrl.snapshot()["batches"] == 0
+    return ctrl
+
+
 def test_fit_recovers_depth_and_work_terms():
     """wall = a + b * sum(size): ``T'`` is paid once per batch, ``W'`` per element."""
     a, b = 2e-4, 1e-6
-    ctrl = LaneController(SLOConfig(target_p99_ms=10.0))
+    ctrl = _warm_controller(SLOConfig(target_p99_ms=10.0))
     for count in (1, 4, 16, 4, 8):
         total = 10.0 * count
         ctrl.note_batch(count, total, a + b * total)
@@ -73,16 +85,27 @@ def test_fit_recovers_depth_and_work_terms():
 
 
 def test_fit_window_is_bounded():
-    ctrl = LaneController(SLOConfig(target_p99_ms=10.0))
-    for i in range(200):
-        ctrl.note_batch(1, 1.0 + i % 7, 1e-4)
+    # 100 batches of an old, 10x dearer regime, then 64 of the current one:
+    # the old ones have left the running sums, not just the deque
+    a, b = 2e-4, 1e-6
+    ctrl = _warm_controller(SLOConfig(target_p99_ms=10.0))
+    for i in range(100):
+        ctrl.note_batch(1, 1.0 + i % 7, 10 * (a + b * (1.0 + i % 7)))
+    for i in range(64):
+        ctrl.note_batch(1, 1.0 + i % 7, a + b * (1.0 + i % 7))
     assert ctrl.snapshot()["batches"] == 64
+    assert ctrl.base_s == pytest.approx(a, rel=1e-6)
+    assert ctrl.per_size_s == pytest.approx(b, rel=1e-6)
 
 
 def test_unfitted_controller_admits_everything():
+    # nothing timed, only the cold batch, one warm sample: no verdict yet
     ctrl = LaneController(SLOConfig(target_p99_ms=10.0))
-    assert ctrl.predict_request_s([1, 2, 3]) is None
-    assert ctrl.classify(list(range(10_000))) is None
+    for _ in range(3):
+        assert ctrl.predict_request_s([1, 2, 3]) is None
+        assert ctrl.classify(list(range(10_000))) is None
+        ctrl.note_batch(1, 4.0, 1.0)
+    assert ctrl.classify([1, 2, 3]) == "reject"  # two warm 1 s batches
 
 
 @pytest.mark.parametrize(
@@ -98,7 +121,7 @@ def test_degenerate_fit_falls_back_to_size_pricing(batches):
     # not be accepted as-is (predictions would never scale with size —
     # admission silently off).  The fallback prices the whole measured wall
     # on size, which is conservative for big requests.
-    ctrl = LaneController(SLOConfig(target_p99_ms=50.0, admit_factor=8.0))
+    ctrl = _warm_controller(SLOConfig(target_p99_ms=50.0, admit_factor=8.0))
     for batch in batches:
         ctrl.note_batch(*batch)
     assert ctrl.base_s == 0.0 and ctrl.per_size_s > 0.0
@@ -120,8 +143,9 @@ def test_admission_rejects_predicted_expensive_outlier():
         slo = SLOConfig(target_p99_ms=50.0, admit_factor=8.0)
         async with Server(max_batch=32, slo=slo, cache=None) as srv:
             small = [list(range(8)) for _ in range(16)]
-            # two batches of distinct total size: the lane's fit has a slope
-            for batch in (small, small[:4]):
+            # the cold batch, then two of distinct total size: the lane's
+            # fit has a slope
+            for batch in (small[:2], small, small[:4]):
                 outs = await asyncio.gather(*(srv.submit(fn, v) for v in batch))
                 assert all(str(o) == "28" for o in outs)
             (lane,) = srv._lanes.values()
@@ -140,6 +164,33 @@ def test_admission_rejects_predicted_expensive_outlier():
     assert "repro_server_admission_rejected_total 1" in body
 
 
+def test_cold_lane_does_not_lock_itself_out():
+    # The lane's first batch pays the lazy batched-twin compile.  With a
+    # target between the cold and the warm wall, learning from that batch
+    # would reject all later same-size traffic — and in reject mode nothing
+    # would ever run again to correct the fit.
+    prog = copy.copy(compile_nsc(_affine_fn()))
+    run_batch, walls = prog.run_batch, iter([0.15])
+
+    def cold_then_warm(values, **kwargs):
+        time.sleep(next(walls, 0.0))  # stands in for the one-off compile
+        return run_batch(values, **kwargs)
+
+    prog.run_batch = cold_then_warm
+
+    async def main():
+        async with Server(slo=SLOConfig(target_p99_ms=100.0), cache=None) as srv:
+            for i in range(40):
+                assert str(await srv.submit(prog, [i])) == f"[{(i * 7 + 3) % 101}]"
+            (lane,) = srv._lanes.values()
+            return srv, lane.ctrl
+
+    srv, ctrl = asyncio.run(main())
+    assert srv.metrics.admission_rejected == 0 and srv.metrics.completed == 40
+    assert ctrl.snapshot()["batches"] == 39
+    assert ctrl.predict_request_s([0]) < 0.05
+
+
 def test_admission_isolates_instead_when_configured():
     fn = reduce_add()
     big = list(range(50_000))
@@ -148,7 +199,7 @@ def test_admission_isolates_instead_when_configured():
         slo = SLOConfig(target_p99_ms=50.0, admit_factor=8.0, mode="isolate")
         async with Server(max_batch=32, slo=slo, cache=None) as srv:
             small = [list(range(8)) for _ in range(16)]
-            for batch in (small, small[:4]):
+            for batch in (small[:2], small, small[:4]):
                 outs = await asyncio.gather(*(srv.submit(fn, v) for v in batch))
                 assert all(str(o) == "28" for o in outs)
             out_big, *out_small = await asyncio.gather(
