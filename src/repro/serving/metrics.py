@@ -48,9 +48,9 @@ class ServerMetrics:
         #: batch size -> number of batches of that size
         self.batch_sizes: Counter[int] = Counter()
         self._latencies: deque[float] = deque(maxlen=window)
-        #: completion timestamps inside the trailing rate window (evicted on
-        #: both record and read, so the deque holds at most one window)
-        self._completions: deque[float] = deque()
+        #: whole second -> completions in it, for the seconds that reach into
+        #: the trailing rate window: one entry per second, not per request
+        self._completions: Counter[int] = Counter()
 
     # -- recording (called by the scheduler) --------------------------------
 
@@ -65,13 +65,14 @@ class ServerMetrics:
             self.failed += 1
         self._latencies.append(latency_s)
         now = self._clock()
-        self._completions.append(now)
-        self._evict_completions(now)
+        if int(now) not in self._completions:  # a new second: old ones may have left
+            self._evict_completions(now)
+        self._completions[int(now)] += 1
 
     def _evict_completions(self, now: float) -> None:
         cutoff = now - self.rate_window_s
-        while self._completions and self._completions[0] < cutoff:
-            self._completions.popleft()
+        for second in [s for s in self._completions if s + 1 <= cutoff]:
+            del self._completions[second]
 
     # -- derived views -------------------------------------------------------
 
@@ -117,7 +118,7 @@ class ServerMetrics:
         """
         now = self._clock()
         self._evict_completions(now)
-        n = len(self._completions)
+        n = sum(self._completions.values())
         if n == 0:
             return 0.0
         elapsed = min(self.rate_window_s, now - self.started_at)

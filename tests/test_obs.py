@@ -409,6 +409,21 @@ def test_requests_per_sec_windowed_vs_lifetime():
     assert snap["lifetime_requests_per_sec"] == 0.2
 
 
+def test_rate_window_state_does_not_grow_with_the_request_rate():
+    # one entry per second of the window, not one per request: at tens of
+    # thousands of requests a second the old per-request timestamps were
+    # megabytes that grew for the first 30 s of a server's life
+    clock = _FakeClock()
+    m = ServerMetrics(clock=clock, rate_window_s=10.0)
+    for second in range(40):
+        for i in range(500):
+            clock.t = second + i / 500.0
+            m.observe_request(0.01, ok=True)
+    assert len(m._completions) <= 11
+    clock.t = 40.0
+    assert m.requests_per_sec() == pytest.approx(500.0)
+
+
 def test_requests_per_sec_young_server_divisor_capped():
     clock = _FakeClock()
     m = ServerMetrics(clock=clock, rate_window_s=30.0)
