@@ -37,7 +37,8 @@ Front door::
 
     from repro.compiler import compile_nsc
     prog = compile_nsc(fn, eps=0.5)       # fn : an NSC Function
-    value, run = prog.run(from_python([3, 1, 2]))
+    value, run = prog.run([3, 1, 2])      # plain data is encoded per field,
+                                          # directed by the program's type
     print(value, run.time, run.work)      # T' and W' per the Section 2 costs
 
     outs = prog.run_batch([x1, x2, x3])   # B requests, ONE machine run: the
@@ -64,14 +65,12 @@ from ..bvram.isa import Program
 from ..nsc import ast as A
 from ..nsc.typecheck import infer_function
 from ..nsc.types import Type
-from ..nsc.values import Value, from_python
+from ..nsc.values import Value
 from ..obs.trace import span as _span
 from .codegen import (
     Emitter,
     decode_batch,
-    decode_values,
-    encode_batch,
-    encode_values,
+    encode_inputs,
     field_count,
     reuse_registers,
     split_batch,
@@ -145,11 +144,14 @@ class CompiledProgram(Program):
 
     def encode_input(self, value: object) -> list[np.ndarray]:
         """Marshal one S-object (or plain Python data) into the input registers."""
-        return self.encode_batch_input([from_python(value)])
+        return self.encode_batch_input([value])
 
-    def encode_batch_input(self, values: Sequence[Value]) -> list[np.ndarray]:
-        """Marshal a batch of S-objects into the input-register image.
+    def encode_batch_input(self, values: Sequence[object]) -> list[np.ndarray]:
+        """Marshal a batch of requests into the input-register image.
 
+        Each request is an S-object or plain Python data (ints, lists,
+        tuples, bools, ``None``); plain data goes straight into the fields,
+        directed by ``dom`` (:func:`repro.compiler.codegen.encode_inputs`).
         For a ``batch_axis`` program the image is the width-B canonical
         encoding plus the batch template register; a width-1 program accepts
         only singleton batches.
@@ -159,12 +161,12 @@ class CompiledProgram(Program):
             raise CompileError(
                 f"program compiled without batch_axis takes 1 input, got {len(values)}"
             )
-        fields = encode_batch(values, self.dom)
+        fields = encode_inputs(values, self.dom)
         if self.batch_axis:
             fields.append(np.zeros(len(values), dtype=np.int64))
         return fields
 
-    def encode_batch_fields(self, values: Sequence[Value]) -> list[np.ndarray]:
+    def encode_batch_fields(self, values: Sequence[object]) -> list[np.ndarray]:
         """The canonical field encoding of a batch — value fields only.
 
         Unlike :meth:`encode_batch_input` this never appends the batch
@@ -173,7 +175,7 @@ class CompiledProgram(Program):
         into per-span views with :meth:`split_batch_fields`.
         """
         assert self.dom is not None
-        return encode_batch(values, self.dom)
+        return encode_inputs(values, self.dom)
 
     def split_batch_fields(
         self, fields: Sequence[np.ndarray], spans: Sequence[tuple[int, int]]

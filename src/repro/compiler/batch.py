@@ -32,11 +32,15 @@ order); with ``return_exceptions=True`` the error object is returned *in
 place* and every sibling's result is exactly its independent ``run()``
 value.
 
-A request that cannot be **encoded** (a negative or over-wide natural, data
-of the wrong shape: :data:`ENCODE_ERRORS`) is that one caller's error, like
-a trap: the batch takes the same per-input loop, the offender gets an
-in-slot :class:`BatchError` under ``return_exceptions=True`` and its
-original exception is raised otherwise.
+Requests are S-objects or plain Python data; plain data is encoded per
+field inside the ``batch/encode`` span, directed by the program's input type
+(:func:`repro.compiler.codegen.encode_inputs`) — no S-object tree is built
+on the way in.  A request that cannot be **encoded** (a negative or
+over-wide natural, data of the wrong shape or nested deeper than the
+recursion limit: :data:`ENCODE_ERRORS`) is that one caller's error, like a
+trap: the batch takes the same per-input loop, the offender gets an in-slot
+:class:`BatchError` under ``return_exceptions=True`` and its original
+exception is raised otherwise.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 
 from ..backends.registry import ForkSafeLock
 from ..bvram import BVRAM, BVRAMError
-from ..nsc.values import Value, from_python
+from ..nsc.values import Value
 from ..obs.trace import span as _span
 from .nsa import CompileError
 
@@ -93,9 +97,9 @@ class BatchError(BVRAMError):
         return (BatchError, (self.args[0], self.index, self.cause_text))
 
 
-#: what a request that cannot be marshalled raises: ``from_python`` rejects
-#: the Python data (``ValueError``/``TypeError``), ``encode_batch`` rejects a
-#: value of the wrong type or width (:class:`CompileError`)
+#: what a request that cannot be marshalled raises: Python data no S-object
+#: spells (``ValueError``/``TypeError``), a value of the wrong type, width or
+#: nesting depth (:class:`CompileError`)
 ENCODE_ERRORS = (CompileError, ValueError, TypeError)
 
 _UNSET = object()
@@ -164,19 +168,18 @@ def run_batch(
     if not values:
         return []
     twin = batched_program(prog)
-    try:
-        vals = [v if isinstance(v, Value) else from_python(v) for v in values]
-        if twin is not None:
-            with _span("batch/encode", "serve", batch=len(vals)):
-                inputs = twin.encode_batch_input(vals)
-    except ENCODE_ERRORS:
-        # one request is malformed: the loop below marshals each input on
-        # its own, so only the offender fails
-        twin, vals = None, values
+    if twin is not None:
+        try:
+            with _span("batch/encode", "serve", batch=len(values)):
+                inputs = twin.encode_batch_input(values)
+        except ENCODE_ERRORS:
+            # one request is malformed: the loop below marshals each input
+            # on its own, so only the offender fails
+            twin = None
     if twin is not None:
         machine = BVRAM(twin.n_registers)
         try:
-            with _span("batch/execute", "serve", batch=len(vals)) as sp:
+            with _span("batch/execute", "serve", batch=len(values)) as sp:
                 res = machine.run(
                     twin,
                     inputs,
@@ -194,10 +197,10 @@ def run_batch(
             prog._batch_fallback_error = e
         else:
             prog._batch_fallback_error = None
-            with _span("batch/decode", "serve", batch=len(vals)):
-                return twin.decode_batch_output(res.registers, len(vals))
-    with _span("batch/fallback", "serve", batch=len(vals)):
-        return _run_batch_fallback(prog, vals, max_steps, return_exceptions, backend)
+            with _span("batch/decode", "serve", batch=len(values)):
+                return twin.decode_batch_output(res.registers, len(values))
+    with _span("batch/fallback", "serve", batch=len(values)):
+        return _run_batch_fallback(prog, values, max_steps, return_exceptions, backend)
 
 
 def run_batch_fields(

@@ -19,14 +19,19 @@ occupies ``field_count(t)`` registers, laid out in the canonical pre-order
 * sequences: segment descriptor, then the element fields over the
   concatenated data space.
 
-``encode_values`` / ``decode_values`` convert between a *batch* of S-objects
+``encode_batch`` / ``decode_batch`` convert between a *batch* of S-objects
 and that register image; width 1 gives the single-value convention used by
-``CompiledProgram.run``.
+``CompiledProgram.run``.  Requests arrive as plain Python data far more often
+than as S-objects: ``encode_inputs`` is the front door for both, and
+``encode_plain`` takes lists, tuples, ints, bools and ``None`` to the same
+fields directed by the type alone, without building the S-object tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,10 +46,11 @@ from ..nsc.values import (
     VPair,
     VSeq,
     VUnit,
+    from_python,
     nat_batch,
-    nat_seq_value,
+    nat_seq_batch,
 )
-from ..nsc.types import NatType, ProdType, SeqType, SumType, Type, UnitType
+from ..nsc.types import BOOL, NatType, ProdType, SeqType, SumType, Type, UnitType
 from .nsa import CompileError
 
 #: Version of the whole NSC->BVRAM code generator (all three passes plus the
@@ -345,56 +351,11 @@ def field_count(t: Type) -> int:
     raise CompileError(f"unknown type {t!r}")
 
 
-def encode_values(values: Sequence[Value], t: Type) -> list[list[int]]:
-    """Encode a batch of same-typed S-objects into the canonical field vectors."""
-    if isinstance(t, UnitType):
-        for v in values:
-            if not isinstance(v, VUnit):
-                raise CompileError(f"expected (), got {v!r}")
-        return []
-    if isinstance(t, NatType):
-        out = []
-        for v in values:
-            if not isinstance(v, VNat):
-                raise CompileError(f"expected a natural, got {v!r}")
-            out.append(v.value)
-        return [out]
-    if isinstance(t, ProdType):
-        fsts, snds = [], []
-        for v in values:
-            if not isinstance(v, VPair):
-                raise CompileError(f"expected a pair, got {v!r}")
-            fsts.append(v.fst)
-            snds.append(v.snd)
-        return encode_values(fsts, t.left) + encode_values(snds, t.right)
-    if isinstance(t, SumType):
-        tags, lefts, rights = [], [], []
-        for v in values:
-            if isinstance(v, VInl):
-                tags.append(1)
-                lefts.append(v.value)
-            elif isinstance(v, VInr):
-                tags.append(0)
-                rights.append(v.value)
-            else:
-                raise CompileError(f"expected an injection, got {v!r}")
-        return [tags] + encode_values(lefts, t.left) + encode_values(rights, t.right)
-    if isinstance(t, SeqType):
-        segs, items = [], []
-        for v in values:
-            if not isinstance(v, VSeq):
-                raise CompileError(f"expected a sequence, got {v!r}")
-            segs.append(len(v))
-            items.extend(v.items)
-        return [segs] + encode_values(items, t.elem)
-    raise CompileError(f"unknown type {t!r}")
-
-
 def encode_batch(values: Sequence[Value], t: Type) -> list[np.ndarray]:
     """Encode a batch of same-typed S-objects straight into int64 vectors.
 
-    Same canonical field layout as :func:`encode_values`, but the result is
-    ready-to-load ``np.int64`` arrays and the hot leaves — naturals and flat
+    The result is the canonical field layout as ready-to-load ``np.int64``
+    arrays, and the hot leaves — naturals and flat
     ``[N]`` sequences, i.e. every field of the serving workloads — are built
     by a single ``np.fromiter`` pass over the whole batch instead of a
     Python ``append`` per element.  Stacking B segment descriptors is one
@@ -477,6 +438,96 @@ def encode_batch(values: Sequence[Value], t: Type) -> list[np.ndarray]:
     raise CompileError(f"unknown type {t!r}")
 
 
+class _NotPlain(Exception):
+    """:func:`encode_plain` will not vouch for this input; the message says why."""
+
+
+def _expect(nodes: Sequence[object], t: Type, kind: type) -> None:
+    """The shape check of one level: every node is exactly a ``kind``."""
+    found = set(map(type, nodes))
+    found.discard(kind)
+    if found:
+        names = ", ".join(sorted(k.__name__ for k in found))
+        raise _NotPlain(f"expected {t}, got {names}")
+
+
+def encode_plain(nodes: Sequence[object], t: Type) -> list[np.ndarray]:
+    """Encode plain Python data of type ``t`` without building S-objects.
+
+    ``nodes`` holds every node of one level — the batch axis is just the
+    outermost one — and the recursion is over ``t``: its depth is the type's,
+    never the data's, and each level costs a constant number of C-level
+    passes over its nodes (a type-set shape check, ``map(len)`` for a segment
+    descriptor, ``chain.from_iterable`` to descend, ``np.fromiter`` plus one
+    vectorised sign check at a natural leaf).  Same fields as
+    ``encode_batch(list(map(from_python, nodes)), t)``, array for array.
+
+    Raises :class:`_NotPlain` on anything else — a node of another Python
+    type (S-objects included), a negative or over-wide natural, a sum other
+    than ``B`` — for :func:`encode_inputs` to hand to the reference path.
+    """
+    if isinstance(t, NatType):
+        _expect(nodes, t, int)
+        try:
+            arr = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        except OverflowError:
+            raise _NotPlain(f"expected {t}, got an int beyond int64") from None
+        if len(arr) and arr.min() < 0:
+            raise _NotPlain(f"expected {t}, got a negative int")
+        return [arr]
+    if isinstance(t, UnitType):
+        _expect(nodes, t, type(None))
+        return []
+    if isinstance(t, SeqType):
+        _expect(nodes, t, list)
+        segs = np.fromiter(map(len, nodes), dtype=np.int64, count=len(nodes))
+        return [segs] + encode_plain(list(chain.from_iterable(nodes)), t.elem)
+    if isinstance(t, ProdType):
+        _expect(nodes, t, tuple)
+        widths = set(map(len, nodes))
+        if widths <= {2}:
+            snds = list(map(itemgetter(1), nodes))
+        elif min(widths) < 2:
+            raise _NotPlain(f"expected {t}, got a tuple of fewer than 2 components")
+        else:  # longer tuples right-nest, as in from_python
+            snds = [n[1] if len(n) == 2 else n[1:] for n in nodes]
+        fsts = list(map(itemgetter(0), nodes))
+        return encode_plain(fsts, t.left) + encode_plain(snds, t.right)
+    if t == BOOL:
+        _expect(nodes, t, bool)
+        return [np.fromiter(nodes, dtype=np.int64, count=len(nodes))]
+    raise _NotPlain(f"expected {t}, which plain data cannot spell")
+
+
+_VALUE_TYPES = frozenset((VUnit, VNat, VPair, VInl, VInr, VSeq))
+
+
+def encode_inputs(values: Sequence[object], t: Type) -> list[np.ndarray]:
+    """Encode a batch of requests, each an S-object or plain Python data.
+
+    A batch of S-objects takes :func:`encode_batch`, anything else
+    :func:`encode_plain`; what that one will not vouch for re-runs the whole
+    batch through the reference ``from_python`` + :func:`encode_batch`, which
+    succeeds or raises what it always raised.  The one exception is a request
+    nested deeper than the recursion limit: it is ill-typed for every
+    program, the reference would die of ``RecursionError`` (which no caller
+    treats as one request's error), so it gets a :class:`CompileError` naming
+    the first mismatch instead — types only, ``repr`` of it would recurse too.
+    """
+    if set(map(type, values)) <= _VALUE_TYPES:
+        return encode_batch(values, t)
+    try:
+        return encode_plain(values, t)
+    except _NotPlain as e:
+        why = str(e)
+    try:
+        return encode_batch(list(map(from_python, values)), t)
+    except RecursionError:
+        raise CompileError(
+            f"{why}: the request nests deeper than the recursion limit"
+        ) from None
+
+
 def split_batch(
     fields: Sequence[np.ndarray], t: Type, spans: Sequence[tuple[int, int]]
 ) -> list[list[np.ndarray]]:
@@ -555,22 +606,11 @@ def _split_fields(
 
 
 def decode_batch(fields: Sequence[Sequence[int]], t: Type, count: int) -> list[Value]:
-    """Decode ``count`` S-objects from the canonical batched field vectors.
+    """Decode ``count`` S-objects from the canonical field vectors of type ``t``.
 
-    :func:`decode_values` is already batch-capable (machine registers pass
-    through as ndarrays, flat ``[N]`` data decodes via ``.tolist()`` without
-    a per-element round-trip); this name marks the batched calling
-    convention used by ``CompiledProgram.run_batch``.
-    """
-    return decode_values(fields, t, count)
-
-
-def decode_values(fields: Sequence[Sequence[int]], t: Type, count: int) -> list[Value]:
-    """Inverse of :func:`encode_values` (``fields`` in canonical order).
-
-    Accepts plain sequences or NumPy int64 vectors (machine registers are
-    passed in directly, so 20k-element outputs decode without a Python-level
-    per-element ``int(...)`` round-trip).
+    Inverse of :func:`encode_batch`.  Accepts plain sequences or NumPy int64
+    vectors (machine registers are passed in directly, so 20k-element outputs
+    decode via ``.tolist()`` without a per-element ``int(...)`` round-trip).
     """
     out, rest = _decode(list(fields), t, count)
     if rest:
@@ -614,20 +654,15 @@ def _decode(
         if isinstance(segs, np.ndarray):
             segs = segs.tolist()
         total = int(sum(segs))
-        out: list[Value] = []
-        pos = 0
         if isinstance(t.elem, NatType):
-            # flat [N]: slice the data field directly into interned-nat seqs
+            # flat [N]: one interning pass over the data field, cut by segs
             data, rest = rest[0], rest[1:]
             if len(data) != total:
                 raise CompileError(f"decoding [N]: expected {total} entries, got {len(data)}")
-            ints = _as_ints(data)
-            for s in segs:
-                s = int(s)
-                out.append(nat_seq_value(ints[pos : pos + s]))
-                pos += s
-            return out, rest
+            return nat_seq_batch(_as_ints(data), map(int, segs)), rest
         items, rest = _decode(rest, t.elem, total)
+        out: list[Value] = []
+        pos = 0
         for s in segs:
             s = int(s)
             out.append(VSeq(items[pos : pos + s]))

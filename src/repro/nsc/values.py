@@ -253,10 +253,27 @@ def nat_seq_value(values: Sequence[int]) -> VSeq:
     ``1 + len(values)`` — constructing through ``VSeq.__init__`` would
     recompute that with a 20k-element Python ``sum``.
     """
-    v = VSeq.__new__(VSeq)
-    object.__setattr__(v, "items", tuple(nat_batch(values)))
-    object.__setattr__(v, "size", 1 + len(values))
-    return v
+    return nat_seq_batch(values, (len(values),))[0]
+
+
+def nat_seq_batch(values: Sequence[int], lengths: Iterable[int]) -> list[VSeq]:
+    """Cut one flat data field into ``[N]`` S-objects, one per segment length.
+
+    The naturals are interned in a single :func:`nat_batch` pass over the
+    whole field and the ``VSeq`` slots are filled directly, so decoding a
+    ``[[N]]`` result of 25k segments costs one loop step per segment, not a
+    constructor chain per segment.
+    """
+    nats = nat_batch(values)
+    new, put = VSeq.__new__, object.__setattr__
+    out, pos = [], 0
+    for n in lengths:
+        v = new(VSeq)
+        put(v, "items", tuple(nats[pos : pos + n]))
+        put(v, "size", 1 + n)
+        out.append(v)
+        pos += n
+    return out
 
 
 def nat(n: int) -> VNat:
@@ -314,6 +331,8 @@ def from_python(obj: object) -> Value:
             result = VPair(v, result)
         return result
     if isinstance(obj, list):
+        if set(map(type, obj)) == {int}:  # flat [N]: one interning pass, no recursion
+            return nat_seq_value(obj)
         return VSeq(from_python(o) for o in obj)
     raise TypeError(f"cannot convert {type(obj).__name__} to an S-object")
 

@@ -235,22 +235,28 @@ class Server:
             self._lanes.move_to_end(key)
         return lane
 
-    def _route(self, fn: Union[CompiledProgram, A.Function], value: object) -> _Lane:
-        """Resolve the request's lane, applying SLO admission control.
+    def _route(
+        self, fn: Union[CompiledProgram, A.Function], value: object
+    ) -> tuple[_Lane, float]:
+        """Resolve the request's lane and size, applying SLO admission control.
 
         A predicted-expensive request either raises
         :class:`~repro.serving.slo.AdmissionRejected` (``mode="reject"``) or
         is diverted to the program's *isolation lane* (``mode="isolate"``) —
         a separate queue and drainer, so ordinary requests never share a
-        batch (and therefore a ``T' = max``) with the outlier.
+        batch (and therefore a ``T' = max``) with the outlier.  The size is
+        taken once, here, and rides the queue entry to the lane's fit; with
+        no SLO nothing reads it and it is not computed.
         """
         prog = self._resolve(fn)
         lane = self._lane(prog)
+        size = 0.0
         if lane.ctrl is not None:
-            verdict = lane.ctrl.classify(value)
+            size = request_size(value)
+            verdict = lane.ctrl.classify(size)
             if verdict == "reject":
                 self.metrics.admission_rejected += 1
-                pred = lane.ctrl.predict_request_s(value)
+                pred = lane.ctrl.predict_request_s(size)
                 raise AdmissionRejected(
                     f"predicted request wall {pred * 1000.0:.3f}ms would blow the "
                     f"{self.slo.target_p99_ms}ms p99 target"
@@ -258,7 +264,7 @@ class Server:
             if verdict == "isolate":
                 self.metrics.admission_isolated += 1
                 lane = self._lane(prog, isolated=True)
-        return lane
+        return lane, size
 
     # -- submission ----------------------------------------------------------
 
@@ -273,9 +279,9 @@ class Server:
         """
         if self._closed:
             raise ServerClosed("server is closed")
-        lane = self._route(fn, value)
+        lane, size = self._route(fn, value)
         fut = asyncio.get_running_loop().create_future()
-        await lane.queue.put((value, fut, time.perf_counter()))
+        await lane.queue.put((value, fut, time.perf_counter(), size))
         if self._closed:
             # the server closed while we waited for a queue slot: close()
             # may already have drained the queue, so nobody would ever
@@ -293,10 +299,10 @@ class Server:
         :class:`ServerOverloaded` immediately when the queue is full."""
         if self._closed:
             raise ServerClosed("server is closed")
-        lane = self._route(fn, value)
+        lane, size = self._route(fn, value)
         fut = asyncio.get_running_loop().create_future()
         try:
-            lane.queue.put_nowait((value, fut, time.perf_counter()))
+            lane.queue.put_nowait((value, fut, time.perf_counter(), size))
         except asyncio.QueueFull:
             self.metrics.rejected += 1
             # refresh the gauge on the reject path too: the failed put
@@ -337,13 +343,13 @@ class Server:
             lane.busy = False
 
     async def _execute(self, lane: _Lane, batch: list) -> None:
-        values = [value for value, _, _ in batch]
+        values = [value for value, _, _, _ in batch]
         prog = lane.prog
         tracer = self.tracer if self.tracer is not None else current_trace()
         t_dispatch = time.perf_counter()
         if tracer is not None:
             # enqueue -> batch-form wait, one event per co-batched request
-            for _, _, t_submit in batch:
+            for _, _, t_submit, _ in batch:
                 tracer.add_complete(
                     "serve/queued", t_submit, t_dispatch - t_submit, "serve"
                 )
@@ -378,14 +384,14 @@ class Server:
             # close(); close() itself waits): the thread finishes harmlessly,
             # but these callers must not hang on futures nobody will resolve
             err = ServerClosed("server closed while the batch was executing")
-            for _, fut, _ in batch:
+            for _, fut, _, _ in batch:
                 if not fut.done():
                     fut.set_exception(err)
             raise
         except BaseException as e:  # infrastructure failure: fail the batch
             self.metrics.observe_batch(len(batch))
             now = time.perf_counter()
-            for _, fut, t_submit in batch:
+            for _, fut, t_submit, _ in batch:
                 if not fut.done():
                     fut.set_exception(e)
                 self.metrics.observe_request(now - t_submit, ok=False)
@@ -397,7 +403,7 @@ class Server:
                 "serve/batch", t_dispatch, now - t_dispatch, "serve",
                 {"batch": len(batch)},
             )
-        for (_, fut, t_submit), res in zip(batch, results):
+        for (_, fut, t_submit, _), res in zip(batch, results):
             ok = not isinstance(res, BaseException)
             if not fut.done():  # the caller may have been cancelled
                 if ok:
@@ -410,7 +416,7 @@ class Server:
                     "serve/request", t_submit, now - t_submit, "serve", {"ok": ok}
                 )
         if lane.ctrl is not None and not any(isinstance(r, BaseException) for r in results):
-            lane.ctrl.note_batch(len(batch), sum(map(request_size, values)), run_s)
+            lane.ctrl.note_batch(len(batch), sum(size for _, _, _, size in batch), run_s)
 
     # -- observability --------------------------------------------------------
 
@@ -474,7 +480,7 @@ class Server:
         err = ServerClosed("server closed with the request still queued")
         for lane in self._lanes.values():
             while not lane.queue.empty():
-                _, fut, _ = lane.queue.get_nowait()
+                _, fut, _, _ = lane.queue.get_nowait()
                 if not fut.done():
                     fut.set_exception(err)
         # the drain above emptied every queue without going through the

@@ -15,7 +15,9 @@ execution plans locally on first use, and keeps them in a bounded per-worker
 cache.
 
 Spans travel over the **zero-copy transport** (:mod:`repro.serving.transport`):
-the parent encodes the batch once into its canonical flat ``int64`` vectors,
+the parent encodes the batch once into its canonical flat ``int64`` vectors —
+plain Python requests go straight into them, directed by the program's input
+type, with no S-object tree on the way in —
 places them in one shared-memory segment, and each worker builds its register
 file as read-only views addressed by ``(offset, length)`` descriptors — no
 per-span re-encode, no pickled S-object graphs.  Results return the same way
@@ -78,7 +80,6 @@ import numpy as np
 
 from ..cache.store import ENV_DEFAULT, CompileCache, resolve_cache
 from ..compiler.batch import ENCODE_ERRORS, BatchError, run_batch_fields, split_shards
-from ..nsc.values import Value, from_python
 from . import transport as _tp
 from .transport import TRANSPORT_OOB, TRANSPORT_SHM, SegmentLedger, resolve_transport
 
@@ -549,9 +550,8 @@ class ShardExecutor:
         # is the caller's error: in-process run_batch isolates it, and a
         # worker would only fail the same way
         try:
-            vals = [v if isinstance(v, Value) else from_python(v) for v in values]
             fields = [
-                np.asarray(f, dtype=np.int64) for f in prog.encode_batch_fields(vals)
+                np.asarray(f, dtype=np.int64) for f in prog.encode_batch_fields(values)
             ]
         except ENCODE_ERRORS:
             return prog.run_batch(

@@ -71,31 +71,46 @@ class SLOConfig:
 
 
 def request_size(value: object) -> float:
-    """A unit-cost size measure for one request (S-object or plain Python).
+    """The unit-cost size of one request: ``from_python(value).size``, no tree built.
 
-    Matches :attr:`repro.nsc.values.Value.size` for S-objects; plain Python
-    payloads are counted structurally (every scalar and every sequence node
-    is one unit).  Iterative, so deeply nested request data cannot overflow
-    the recursion limit.
+    The same number whether the request arrives as an S-object or as plain
+    Python data — a ``k``-tuple is ``k - 1`` pair nodes, a ``bool`` is an
+    injection of ``()`` — so a lane fed both forms fits one unit.  Walks the
+    data level by level (deep nesting cannot overflow the recursion limit)
+    and counts a level that holds only ``int`` with one ``len``.  Data no
+    S-object spells counts one unit per node: it fails later, at encode.
     """
-    if isinstance(value, Value):
-        return float(value.size)
     total = 0
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        total += 1
-        if isinstance(v, (list, tuple)):
-            stack.extend(v)
+    level = [value]
+    while level:
+        if set(map(type, level)) == {int}:
+            total += len(level)
+            break
+        below: list = []
+        for v in level:
+            if isinstance(v, Value):
+                total += v.size
+            elif isinstance(v, bool):
+                total += 2
+            elif isinstance(v, list):
+                total += 1
+                below += v
+            elif isinstance(v, tuple):
+                total += max(len(v) - 1, 1)
+                below += v
+            else:
+                total += 1
+        level = below
     return float(total)
 
 
 class LaneController:
     """Per-lane admission state: the live fit ``wall ~ a + b * sum(size)``.
 
-    The scheduler calls :meth:`classify` at submit time and
-    :meth:`note_batch` after each batch whose requests all returned values
-    (a batch that hit the per-input trap loop is not what a request costs).
+    The scheduler sizes a request once, at submit (:func:`request_size`),
+    calls :meth:`classify` with that size and :meth:`note_batch` with the
+    sizes' sum after each batch whose requests all returned values (a batch
+    that hit the per-input trap loop is not what a request costs).
     All of it runs on the event-loop thread, in constant time per call: the
     two-parameter least squares is closed-form over five running sums.
     """
@@ -137,24 +152,24 @@ class LaneController:
         self.base_s, self.per_size_s = max(a, 0.0), b
         self.mean_size = max(sx / requests, 1.0)
 
-    def predict_request_s(self, value: object) -> Optional[float]:
-        """Predicted wall seconds for ``value`` run alone.
+    def predict_request_s(self, size: float) -> Optional[float]:
+        """Predicted wall seconds for a request of :func:`request_size` ``size`` run alone.
 
         ``None`` until two warm batches have been timed: one sample is one
         host hiccup away from refusing a lane's whole traffic.
         """
         if len(self._batches) < 2:
             return None
-        return self.base_s + self.per_size_s * request_size(value)
+        return self.base_s + self.per_size_s * size
 
-    def classify(self, value: object) -> Optional[str]:
-        """``None`` to admit normally, else the configured expensive-mode.
+    def classify(self, size: float) -> Optional[str]:
+        """``None`` to admit a request of ``size`` normally, else the configured expensive-mode.
 
         Expensive = predicted solo wall over the SLO target (it cannot meet
         the target even alone), or over ``admit_factor`` times the lane's
         mean request (it would stretch every sibling, ``T' = max``).
         """
-        pred = self.predict_request_s(value)
+        pred = self.predict_request_s(size)
         if pred is None:
             return None
         baseline = self.base_s + self.per_size_s * self.mean_size

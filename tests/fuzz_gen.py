@@ -325,6 +325,14 @@ def _gen_input(rng: random.Random, t: Type, edge: bool) -> object:
     raise AssertionError(f"no input generator for type {t}")
 
 
+def too_deep() -> list:
+    """A request nested deeper than the recursion limit: ill-typed for every program."""
+    deep: list = []
+    for _ in range(5000):
+        deep = [deep]
+    return deep
+
+
 def gen_case(seed: int) -> FuzzCase:
     """The deterministic fuzz case for ``seed``."""
     rng = random.Random(seed)

@@ -22,6 +22,7 @@ Four layers:
 import numpy as np
 import pytest
 
+from fuzz_gen import too_deep
 from repro.bvram import BVRAM, BVRAMError
 from repro.backends.base import BLOCK
 from repro.backends.fused import build_fused_plan
@@ -247,12 +248,13 @@ def test_omega_trap_names_failing_batch_index():
         prog.run_batch([3, 0, 7])
 
 
-# a request the machine traps on, and the three ways one can fail to encode
+# a request the machine traps on, and the four ways one can fail to encode
 ISOLATION_CASES = [
     pytest.param(_div_by_input, [5, 0, 4], id="trap"),
     pytest.param(_square_map, [[1, 2, 3], [2**63, 1], [4, 5, 6]], id="too_wide"),
     pytest.param(_square_map, [[1, 2, 3], [-1, 3], [4, 5, 6]], id="negative"),
     pytest.param(_square_map, [[1, 2, 3], [[1], 2], [4, 5, 6]], id="wrong_shape"),
+    pytest.param(_square_map, [[1, 2, 3], too_deep(), [4, 5, 6]], id="too_deep"),
 ]
 
 
@@ -276,6 +278,15 @@ def test_trap_does_not_corrupt_sibling_results(make_fn, batch):
         assert type(whole.value) is type(solo.value)
     # and the failure did not poison later batches on the same program
     assert prog.run_batch([batch[0], batch[2]]) == [out[0], out[2]]
+
+
+def test_too_deep_request_is_an_encode_error_naming_types_only():
+    # RecursionError is nobody's request error: the offender gets a
+    # CompileError with the expected type and the Python type found — no
+    # repr of the payload, which would recurse as well
+    prog = compile_nsc(_square_map())
+    with pytest.raises(CompileError, match=r"^expected N, got list: .* recursion limit$"):
+        prog.run(too_deep())
 
 
 def test_a_bug_in_the_per_input_loop_is_not_a_request_error(monkeypatch):
@@ -321,13 +332,11 @@ def test_batched_time_is_max_not_sum():
 # ---------------------------------------------------------------------------
 
 
-def test_encode_batch_matches_encode_values_layout():
-    from repro.compiler.codegen import encode_values
-
+def test_encode_batch_layout():
     t = seq(NAT)
     vals = [from_python(x) for x in ([1, 2, 3], [], [9])]
     arrays = encode_batch(vals, t)
-    lists = encode_values(vals, t)
+    lists = [[3, 0, 1], [1, 2, 3, 9]]  # the segment descriptor, then the data
     assert len(arrays) == len(lists)
     for a, l in zip(arrays, lists):
         assert isinstance(a, np.ndarray) and a.dtype == np.int64

@@ -10,7 +10,7 @@ import pytest
 
 from repro.bvram import BVRAMError
 from repro.compiler import CompileError, CompiledProgram, compile_nsc
-from repro.compiler.codegen import decode_values, encode_values, field_count
+from repro.compiler.codegen import decode_batch, encode_batch, field_count
 from repro.compiler.difftest import run_differential, run_suite, suite
 from repro.compiler.nsa import block_free_vars, block_size, lower_function
 from repro.nsc import apply_function, builder as B, evaluate, from_python, lib
@@ -79,9 +79,9 @@ def test_map_closures_are_free_vars():
     ],
 )
 def test_encode_decode_roundtrip(t, value):
-    fields = encode_values([value], t)
+    fields = encode_batch([value], t)
     assert len(fields) == field_count(t)
-    assert decode_values(fields, t, 1) == [value]
+    assert decode_batch(fields, t, 1) == [value]
 
 
 # ---------------------------------------------------------------------------

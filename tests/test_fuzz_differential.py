@@ -10,6 +10,11 @@ record):
   ``vector`` backends;
 * ``run_batch`` over the whole input set (the batched twin, with
   ``return_exceptions=True`` isolation);
+* the ``plain`` column — the same inputs as plain Python data, which the
+  front door encodes per field with no S-object built (typed ingest):
+  ``run`` (value, ``T'``, ``W'`` or trap text), ``run_batch`` in-process and
+  through the ``shm`` executor must equal the ``from_python`` column slot
+  for slot, trap index and cause included;
 * the multi-core shard path (:class:`repro.serving.ShardExecutor`, two
   workers) with global trap-index attribution — over **both** zero-copy
   transports (``shm`` shared-memory views and the ``oob`` pickle-5
@@ -76,6 +81,20 @@ def _slot_outcome(res):
     return TRAP if isinstance(res, BatchError) else ("value", res)
 
 
+def _run_outcome(prog, arg):
+    """One ``run``: the value with its ``T'``/``W'``, or the trap's text."""
+    try:
+        value, res = prog.run(arg)
+    except BVRAMError as e:
+        return ("trap", str(e))
+    return ("value", value, res.time, res.work)
+
+
+def _exact_slot(res):
+    """A batch slot including *which* trap: two ingests of one engine must agree on it."""
+    return ("trap", res.index, res.cause_text) if isinstance(res, BatchError) else ("value", res)
+
+
 def _check_case(case, executor, oob_executor, router) -> list[str]:
     """All divergence descriptions for one case (empty = the case passes)."""
     fn = case.fn
@@ -114,14 +133,29 @@ def _check_case(case, executor, oob_executor, router) -> list[str]:
             f"batched run silently fell back: {prog2._batch_fallback_error}"
         )
 
+    by_engine = {"run_batch": batched}
     for engine, ex in (("sharded/shm", executor), ("sharded/oob", oob_executor)):
-        sharded = ex.run_batch(prog2, values, shards=2, return_exceptions=True)
+        sharded = by_engine[engine] = ex.run_batch(
+            prog2, values, shards=2, return_exceptions=True
+        )
         for i, res in enumerate(sharded):
             expect(engine, i, _slot_outcome(res))
             if isinstance(res, BatchError) and res.index != i:
                 problems.append(
                     f"{engine} trap at slot {i} carries global index {res.index}"
                 )
+
+    # the plain column: typed ingest against tree ingest, same engine
+    plain = list(case.inputs)
+    for i, (x, v) in enumerate(zip(plain, values)):
+        if _run_outcome(prog2, x) != _run_outcome(prog2, v):
+            problems.append(f"plain run diverges from the from_python run on input {i}")
+    for engine, got in (
+        ("run_batch", prog2.run_batch(plain, return_exceptions=True)),
+        ("sharded/shm", executor.run_batch(prog2, plain, shards=2, return_exceptions=True)),
+    ):
+        if list(map(_exact_slot, got)) != list(map(_exact_slot, by_engine[engine])):
+            problems.append(f"plain {engine} diverges from the from_python column")
 
     routed = router.run_batch(prog2, values, shards=2, return_exceptions=True)
     for i, res in enumerate(routed):

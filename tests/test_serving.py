@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from fuzz_gen import too_deep
 from repro.compiler import BatchError, compile_nsc
 from repro.nsc import builder as B
 from repro.nsc.types import NAT, SeqType
@@ -158,6 +159,7 @@ def test_backlog_behind_a_running_batch_is_the_next_batch(affine_prog, backlog, 
         pytest.param(_affine_fn, [2**63, 1], id="too_wide"),
         pytest.param(_affine_fn, [-1, 3], id="negative"),
         pytest.param(_affine_fn, [[1], 2], id="wrong_shape"),
+        pytest.param(_affine_fn, too_deep(), id="too_deep"),
     ],
 )
 def test_trap_isolation_per_request(make_fn, bad):

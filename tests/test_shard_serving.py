@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from fuzz_gen import too_deep
 from repro.cache.store import CompileCache
 from repro.compiler import BatchError, compile_nsc
 from repro.compiler.batch import split_shards
@@ -206,12 +207,15 @@ def test_transports_agree_including_traps(transport, get_prog):
     assert ex.leaked_segments == []
 
 
-# the three ways a request can fail to encode: over-wide, negative, wrong shape
-UNENCODABLE = [[2**63, 1], [-1, 3], [[1], 2]]
+# the four ways a request can fail to encode: over-wide, negative, wrong
+# shape, nested deeper than the recursion limit
+UNENCODABLE = [[2**63, 1], [-1, 3], [[1], 2], too_deep()]
 
 
 @pytest.mark.parametrize("transport", _tp.TRANSPORTS)
-@pytest.mark.parametrize("bad", UNENCODABLE, ids=["too_wide", "negative", "wrong_shape"])
+@pytest.mark.parametrize(
+    "bad", UNENCODABLE, ids=["too_wide", "negative", "wrong_shape", "too_deep"]
+)
 def test_unencodable_request_fails_alone(transport, bad):
     prog = compile_nsc(_affine_fn())
     batch = [[1, 2, 3], bad, [4, 5, 6], [7]]

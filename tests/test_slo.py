@@ -5,10 +5,12 @@ from __future__ import annotations
 import asyncio
 import copy
 import dataclasses
+import random
 import time
 
 import pytest
 
+from fuzz_gen import DOMAINS, _gen_input
 from repro.compiler import compile_nsc
 from repro.nsc import builder as B
 from repro.nsc.lib import reduce_add
@@ -46,6 +48,23 @@ def test_request_size_matches_value_size():
     assert request_size([1, 2, 3]) == 4.0  # the node + three scalars
 
 
+def test_request_size_is_one_unit_for_plain_data_and_s_objects():
+    # a lane fed both forms must fit one unit: (1, 2, 3) is two pair nodes
+    # (was 4, not 5), True is an injection of () (was 1, not 2)
+    rng = random.Random(7)
+    payloads = [
+        _gen_input(rng, dom, edge) for dom in DOMAINS for edge in (True, False) for _ in range(20)
+    ]
+    payloads += [
+        (1, 2, 3), True, False, None, (None, True), [], [[]], [[True, False], []],
+        [(1, (2, 3)), (4, 5, 6)], ([1, 2], (3, [4])), [from_python((1, 2)), 3],
+    ]
+    for x in payloads:
+        assert request_size(x) == float(from_python(x).size), x
+    # what no S-object spells is still priced (it fails later, at encode)
+    assert request_size([1.5, "ab"]) == 3.0 and request_size((1,)) == 2.0
+
+
 def test_request_size_deep_no_recursion_error():
     deep: list = [1]
     for _ in range(5000):
@@ -76,12 +95,12 @@ def test_fit_recovers_depth_and_work_terms():
     assert ctrl.base_s == pytest.approx(a) and ctrl.per_size_s == pytest.approx(b)
     assert ctrl.mean_size == pytest.approx(10.0)
     value = [0] * 9  # request_size == 10
-    single = ctrl.predict_request_s(value)
+    single = ctrl.predict_request_s(request_size(value))
     assert single == pytest.approx(a + 10 * b)
     # batching genuinely modelled cheaper: four requests share one depth term
     assert a + b * 40 < 4 * single
-    assert ctrl.classify(value) is None
-    assert ctrl.classify([0] * 20_000) == "reject"  # 20ms alone: over the target
+    assert ctrl.classify(request_size(value)) is None
+    assert ctrl.classify(request_size([0] * 20_000)) == "reject"  # 20ms alone: over the target
 
 
 def test_fit_window_is_bounded():
@@ -102,10 +121,10 @@ def test_unfitted_controller_admits_everything():
     # nothing timed, only the cold batch, one warm sample: no verdict yet
     ctrl = LaneController(SLOConfig(target_p99_ms=10.0))
     for _ in range(3):
-        assert ctrl.predict_request_s([1, 2, 3]) is None
-        assert ctrl.classify(list(range(10_000))) is None
+        assert ctrl.predict_request_s(4.0) is None
+        assert ctrl.classify(10_001.0) is None
         ctrl.note_batch(1, 4.0, 1.0)
-    assert ctrl.classify([1, 2, 3]) == "reject"  # two warm 1 s batches
+    assert ctrl.classify(4.0) == "reject"  # two warm 1 s batches
 
 
 @pytest.mark.parametrize(
@@ -125,11 +144,11 @@ def test_degenerate_fit_falls_back_to_size_pricing(batches):
     for batch in batches:
         ctrl.note_batch(*batch)
     assert ctrl.base_s == 0.0 and ctrl.per_size_s > 0.0
-    small = ctrl.predict_request_s([1, 2, 3, 4])
-    big = ctrl.predict_request_s(list(range(1000)))
+    small = ctrl.predict_request_s(5.0)
+    big = ctrl.predict_request_s(1001.0)
     assert big > 8.0 * small  # predictions scale with request size
-    assert ctrl.classify(list(range(1000))) == "reject"
-    assert ctrl.classify([1, 2, 3, 4]) is None
+    assert ctrl.classify(1001.0) == "reject"
+    assert ctrl.classify(5.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +207,7 @@ def test_cold_lane_does_not_lock_itself_out():
     srv, ctrl = asyncio.run(main())
     assert srv.metrics.admission_rejected == 0 and srv.metrics.completed == 40
     assert ctrl.snapshot()["batches"] == 39
-    assert ctrl.predict_request_s([0]) < 0.05
+    assert ctrl.predict_request_s(2.0) < 0.05
 
 
 def test_admission_isolates_instead_when_configured():
