@@ -194,8 +194,14 @@ def seg_scan_vec(op: str, data: np.ndarray, segments: np.ndarray) -> np.ndarray:
     if op == "+":
         return _seg_scan_add(checked_cumsum(data, "seg_scan +"), segments)
     if op == "max":
-        # exclusive running max per segment (correct but simple; vectors are
-        # the hot path of the *simulated* machine, not of this host code)
+        # Exclusive running max per segment: the one kernel that still loops
+        # over segments (the strict xfail of tests/test_kernels.py).  Kept on
+        # measurement, ms on 100 000 segments of 3 / one segment of 300 000:
+        # this loop 87 / 2.7; ranks by stable argsort + one accumulate
+        # 45 / 43; log-step doubling 6.4 / 21; a per-segment offset 5.5 / 4.1,
+        # valid only while (max + 1) * segments < 2**63, so with this loop
+        # kept as a second path.  None matches it on one long segment, and
+        # flatten.py emits seg_scan("+") only.
         out = np.zeros(data.size, dtype=np.int64)
         pos = 0
         for seg_len in segments.tolist():
@@ -249,7 +255,12 @@ def seg_reduce_add_nooverflow(data: np.ndarray, segments: np.ndarray) -> np.ndar
 
 
 def bm_route_vec(data: np.ndarray, counts: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """Bounded monotone routing on vectors (the semantics of the instruction)."""
+    """Bounded monotone routing on vectors (the semantics of the instruction).
+
+    Precondition: ``counts`` holds naturals.  Every register does — loads,
+    constants and ingest refuse a negative and ``-`` is monus
+    (``tests/test_kernels.py``) — so it is not re-checked on every route.
+    """
     if data.size != counts.size:
         raise BVRAMError("bm_route: data and counts must have the same length")
     if int(counts.sum()) != bound.size:
@@ -260,25 +271,38 @@ def bm_route_vec(data: np.ndarray, counts: np.ndarray, bound: np.ndarray) -> np.
 def sbm_route_vec(
     bound: np.ndarray, counts: np.ndarray, data: np.ndarray, segments: np.ndarray
 ) -> np.ndarray:
-    """Segmented bounded monotone routing on vectors."""
+    """Segmented bounded monotone routing on vectors.
+
+    Segment ``i`` of ``data`` (lengths in ``segments``) is written
+    ``counts[i]`` times.  One gather, whatever the segment count: the
+    compiler broadcasts a ``map``'s closure with an all-ones descriptor, one
+    segment per element, so a per-segment Python loop would be a per-element
+    one (``tests/test_kernels.py`` pins the call count).
+
+    Precondition, as for :func:`bm_route_vec`: both descriptors hold naturals.
+    """
     if counts.size != segments.size:
         raise BVRAMError("sbm_route: counts and segment descriptor must have the same length")
-    if int(segments.sum()) != data.size:
+    src = segments.cumsum()  # segment ends; their starts once the sum is checked
+    if (int(src[-1]) if src.size else 0) != data.size:
         raise BVRAMError("sbm_route: segment descriptor must sum to the data length")
-    out: list[np.ndarray] = []
-    pos = 0
-    for seg_len, count in zip(segments.tolist(), counts.tolist()):
-        seg = data[pos : pos + seg_len]
-        pos += seg_len
-        if count:
-            out.append(np.tile(seg, count))
-    result = np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    lens = segments.repeat(counts)  # length of every copy written, in output order
     # The bound pair (bound, counts) must itself be a nested sequence, i.e.
     # the counts describe a segmentation of the bound register.  This is the
     # restriction that keeps a single instruction from growing the data by
     # more than the product of two register lengths (Section 2).
-    if bound.size != int(counts.sum()):
+    if bound.size != lens.size:
         raise BVRAMError(
-            f"sbm_route: bound register has length {bound.size}, expected sum(counts) = {int(counts.sum())}"
+            f"sbm_route: bound register has length {bound.size}, expected sum(counts) = {lens.size}"
         )
-    return result
+    if lens.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    # output position j inside a copy reads data[j - shift], shift = where
+    # the copy starts in the output minus where its segment starts in data
+    src -= segments
+    shift = lens.cumsum()
+    index = np.arange(int(shift[-1]))
+    shift -= lens
+    shift -= src.repeat(counts)
+    index -= shift.repeat(lens)
+    return data[index]

@@ -3,12 +3,20 @@
 Targets the corners the main E6 experiment never visits: empty inputs,
 single-element segments, extreme ``eps`` values and elements that finish in
 zero iterations — all three ``seq_while_*`` schemes must agree with the
-scalar oracle on every one of them.
+scalar oracle on every one of them.  The last section does the same for the
+*compiled* flattening of a ``map``'s closure (``flatten.distribute_rep``).
 """
 
 import numpy as np
 import pytest
 
+from repro.bvram import BVRAM, BVRAMError, isa
+from repro.compiler import compile_nsc
+from repro.compiler.batch import BatchError, batched_program
+from repro.nsc import builder as B
+from repro.nsc.eval import NSCEvalError, apply_function
+from repro.nsc.types import NAT, UNIT, prod, seq
+from repro.nsc.values import from_python
 from repro.sa.flattening import (
     CostCounter,
     SegmentedVector,
@@ -154,3 +162,137 @@ def test_staged_work_between_unbounded_and_simple_on_skewed_profile():
 def test_result_sizes_validation():
     with pytest.raises(ValueError):
         seq_while_staged([1, 2, 3], _PRED, _STEP, 0.5, result_sizes=[1, 2])
+
+
+# ---------------------------------------------------------------------------
+# The compiled closure broadcast (Definition 3.1 map rule, the ``p2`` term)
+# ---------------------------------------------------------------------------
+#
+# ``flatten.distribute_rep`` replicates a ``map`` body's captured variable
+# once per element with ``sbm_route``; its three emitting branches are a
+# scalar field, a sum tag and a segment descriptor.  The fuzz grammar only
+# captures scalars (``fuzz_gen._map_scope``), so sequence-valued closures and
+# their empty / singleton / uneven shapes are pinned here, through the whole
+# chain: interpreter == opt0 == opt2 == traced == fused == vector ==
+# run_batch on values and trap text, ``T'``/``W'`` equal across the engines
+# of one program.
+
+ENGINES = ("traced", "fused", "vector")
+
+
+def _captures(closure_type, make_body, bind=lambda term: term):
+    """``(c0, xs) -> let c = bind(c0) in map(x => body(x, c))(xs)``, ``c0`` of
+    ``closure_type``; ``bind`` builds closure values plain data cannot spell."""
+    p, x, c = B.gensym("p"), B.gensym("x"), B.gensym("c")
+    mapped = B.app(B.map_(B.lam(x, NAT, make_body(B.v(x), B.v(c)))), B.snd(B.v(p)))
+    return B.lam(p, prod(closure_type, seq(NAT)), B.let(c, bind(B.fst(B.v(p))), mapped))
+
+
+def _captures_under_rows(closure_type, make_body):
+    """``(c, rows) -> map(row => map(x => body(x, c))(row))(rows)``: the inner
+    broadcast replicates by the rows' own (uneven, possibly zero) lengths."""
+    p, x, c, row = B.gensym("p"), B.gensym("x"), B.gensym("c"), B.gensym("row")
+    inner = B.map_(B.lam(x, NAT, make_body(B.v(x), B.v(c))))
+    outer = B.map_(B.lam(row, seq(NAT), B.app(inner, B.v(row))))
+    return B.lam(
+        p, prod(closure_type, seq(seq(NAT))), B.let(c, B.fst(B.v(p)), B.app(outer, B.snd(B.v(p))))
+    )
+
+
+def _tag_odd(ys):
+    """``[N] -> [N + ()]``: evens stay, odds become the unit alternative."""
+    y = B.gensym("y")
+    tag = B.lam(y, NAT, B.if_(B.eq(B.mod(B.v(y), 2), 0), B.inl(B.v(y), UNIT), B.inr(B.unit(), NAT)))
+    return B.app(B.map_(tag), ys)
+
+
+_PAIR_UP = lambda x, c: B.pair(x, c)  # noqa: E731  the whole closure, per element
+
+_XS = ([], [5], [1, 2, 3])
+_NESTED = ([], [[]], [[], []], [[7]], [[], [1], [2, 3, 4]], [[1, 2], [], [3]])
+
+CLOSURE_PROGRAMS = {
+    "N": (_captures(NAT, lambda x, c: B.add(x, c)), [(k, xs) for k in (0, 9) for xs in _XS]),
+    "[N]": (
+        _captures(seq(NAT), _PAIR_UP),
+        [(c, xs) for c in ([], [4], [1, 2, 3]) for xs in _XS],
+    ),
+    "[[N]]": (_captures(seq(seq(NAT)), _PAIR_UP), [(c, xs) for c in _NESTED for xs in _XS]),
+    "[N + ()]": (
+        _captures(seq(NAT), _PAIR_UP, bind=_tag_odd),
+        [(c, xs) for c in ([], [2], [3], [1, 2, 4, 7, 8]) for xs in _XS],
+    ),
+    "[[N]] under rows": (
+        _captures_under_rows(seq(seq(NAT)), _PAIR_UP),
+        [(c, rows) for c in _NESTED for rows in ([], [[]], [[1], [], [2, 3]])],
+    ),
+    # traps per element: only when the map has an element to evaluate it for
+    "get of [N]": (
+        _captures(seq(NAT), lambda x, c: B.add(x, B.get_(c))),
+        [(c, xs) for c in ([], [4], [1, 2]) for xs in _XS],
+    ),
+}
+
+
+def _machine_outcome(prog, inputs, engine, decode):
+    machine = BVRAM(prog.n_registers)
+    try:
+        if engine == "traced":
+            machine.run(prog, inputs)
+        else:
+            machine.run(prog, inputs, record_trace=False, backend=engine)
+    except BVRAMError as e:
+        return ("trap", str(e), machine.time, machine.work)
+    return ("value", decode(machine.registers), machine.time, machine.work)
+
+
+def _on_every_engine(prog, inputs, decode):
+    traced = _machine_outcome(prog, inputs, "traced", decode)
+    for engine in ENGINES[1:]:
+        assert _machine_outcome(prog, inputs, engine, decode) == traced, engine
+    return traced
+
+
+@pytest.mark.parametrize("name", CLOSURE_PROGRAMS)
+def test_closure_broadcast_through_the_whole_chain(name):
+    fn, args = CLOSURE_PROGRAMS[name]
+    values = [from_python(a) for a in args]
+    expected = []
+    for v in values:
+        try:
+            expected.append(apply_function(fn, v).value)
+        except NSCEvalError:
+            expected.append(None)
+    assert any(e is not None for e in expected)
+    trap_texts = set()
+    for opt_level in (0, 2):
+        prog = compile_nsc(fn, opt_level=opt_level)
+        assert any(isinstance(i, isa.SbmRoute) for i in prog.instructions)
+        traps = {}
+        for i, (v, want) in enumerate(zip(values, expected)):
+            tag, got, _, _ = _on_every_engine(prog, prog.encode_input(v), prog.decode_output)
+            if want is None:
+                assert tag == "trap", (args[i], got)
+                traps[i] = got
+            else:
+                assert (tag, got) == ("value", want), args[i]
+        trap_texts.update(traps.values())
+        # the batched twin: one run for all inputs when none traps, the same
+        # values and the same trap per slot when one does
+        fine = [v for v, want in zip(values, expected) if want is not None]
+        twin = batched_program(prog)
+        tag, got, _, _ = _on_every_engine(
+            twin,
+            twin.encode_batch_input(fine),
+            lambda regs: twin.decode_batch_output(regs, len(fine)),
+        )
+        assert (tag, got) == ("value", [e for e in expected if e is not None])
+        assert prog.run_batch(fine) == got
+        assert prog._batch_fallback_error is None
+        for i, slot in enumerate(prog.run_batch(list(args), return_exceptions=True)):
+            if expected[i] is None:
+                assert isinstance(slot, BatchError)
+                assert (slot.index, slot.cause_text) == (i, traps[i])
+            else:
+                assert slot == expected[i]
+    assert len(trap_texts) <= 1  # opt0 and opt2 name the same trap
