@@ -9,8 +9,8 @@ Two consumers share this module:
   buckets, escaped label values);
 * :meth:`repro.serving.ShardExecutor.metrics_snapshot` aggregates its
   per-worker parent-side stats through :func:`aggregate_worker_metrics`
-  into the one-snapshot view the ROADMAP asked for ("ServerMetrics
-  aggregated across workers").
+  into one snapshot, which :func:`render_shard_prometheus` renders with a
+  ``worker`` label per series.
 
 Everything here operates on plain dicts — no serving imports — so the
 renderer is usable on any snapshot-shaped data and stays cycle-free.
@@ -179,122 +179,6 @@ def render_shard_prometheus(shard_snapshot: dict, prefix: str = "repro_shard") -
         lines.append(
             f"{name}{_labels({'worker': w.get('worker')})} {_num(w.get('busy_s', 0.0))}"
         )
-    return "\n".join(lines) + "\n"
-
-
-def aggregate_server_snapshots(
-    snapshots: list[dict], latencies: Optional[list] = None
-) -> dict:
-    """Fold per-plane :meth:`ServerMetrics.snapshot` dicts into one view.
-
-    Counters, queue depth and rates sum across planes; the batch-size
-    histogram merges.  Percentiles do **not** sum or average — when the
-    caller supplies each plane's raw latency window (``latencies``, a list
-    of sequences of seconds) the aggregate p50/p99 are nearest-rank over
-    the *pooled* window, exactly what a single server over the combined
-    traffic would report; without raw windows they fall back to the
-    worst plane's value (a conservative upper bound, never an average of
-    percentiles).
-    """
-    agg: dict = {"planes": len(snapshots)}
-    for key in _COUNTERS:
-        agg[key] = sum(int(s.get(key, 0)) for s in snapshots)
-    agg["queue_depth"] = sum(int(s.get("queue_depth", 0)) for s in snapshots)
-    for key in ("requests_per_sec", "lifetime_requests_per_sec"):
-        agg[key] = round(sum(float(s.get(key, 0.0)) for s in snapshots), 1)
-    hist: dict = {}
-    for s in snapshots:
-        for size, count in (s.get("batch_size_hist") or {}).items():
-            hist[int(size)] = hist.get(int(size), 0) + count
-    agg["batch_size_hist"] = dict(sorted(hist.items()))
-    finished = agg.get("completed", 0) + agg.get("failed", 0)
-    agg["mean_batch_size"] = round(
-        finished / agg["batches"] if agg.get("batches") else 0.0, 2
-    )
-    if latencies is not None:
-        pooled = sorted(x for window in latencies for x in window)
-        for name, p in (("p50_latency_s", 50.0), ("p99_latency_s", 99.0)):
-            if not pooled:
-                agg[name] = None
-                continue
-            rank = max(0, min(len(pooled) - 1, round(p / 100.0 * (len(pooled) - 1))))
-            agg[name] = pooled[rank]
-    else:
-        for name in ("p50_latency_s", "p99_latency_s"):
-            values = [s[name] for s in snapshots if s.get(name) is not None]
-            agg[name] = max(values) if values else None
-    return agg
-
-
-def render_router_prometheus(
-    aggregate: dict,
-    plane_snapshots: list[dict],
-    shard_snapshots: Optional[list[dict]] = None,
-    router: Optional[dict] = None,
-) -> str:
-    """Prometheus text for a router: aggregate + per-plane labelled series.
-
-    The cross-plane aggregate renders under the ``repro_router`` prefix;
-    each plane's server metrics render under ``repro_server`` with a
-    ``plane`` label — HELP/TYPE emitted once per metric with one sample
-    line per plane, which is what makes the exposition valid (repeating
-    HELP per plane is not).  Shard-worker counters carry ``plane`` and
-    ``worker`` labels.
-    """
-    lines: list[str] = [render_prometheus(aggregate, prefix="repro_router").rstrip("\n")]
-    if router:
-        for key, value in sorted(router.items()):
-            if not isinstance(value, (int, float)):
-                continue
-            name = f"repro_router_{key}"
-            lines.append(f"# HELP {name} Router {key.replace('_', ' ')}")
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {_num(value)}")
-    for key, help_text in _COUNTERS.items():
-        samples = [
-            ({"plane": i}, s[key])
-            for i, s in enumerate(plane_snapshots)
-            if key in s
-        ]
-        if not samples:
-            continue
-        name = f"repro_server_{key}_total"
-        lines.append(f"# HELP {name} {_escape_help(help_text)}")
-        lines.append(f"# TYPE {name} counter")
-        for labels, value in samples:
-            lines.append(f"{name}{_labels(labels)} {_num(value)}")
-    for key, help_text in _GAUGES.items():
-        samples = [
-            ({"plane": i}, s[key])
-            for i, s in enumerate(plane_snapshots)
-            if s.get(key) is not None
-        ]
-        if not samples:
-            continue
-        name = f"repro_server_{key}"
-        lines.append(f"# HELP {name} {_escape_help(help_text)}")
-        lines.append(f"# TYPE {name} gauge")
-        for labels, value in samples:
-            lines.append(f"{name}{_labels(labels)} {_num(value)}")
-    if shard_snapshots:
-        per_worker_counters = {
-            "spans": "Shard spans completed by the worker",
-            "items": "Batch items executed by the worker",
-            "errors": "Worker-side infrastructure errors (span recomputed in-parent)",
-            "need_prog": "Program re-ships after worker-side cache eviction",
-            "cache_warm": "Cold dispatches the worker served from the compile cache",
-            "warm_loads": "Programs pre-loaded into the worker by cache warm-up",
-            "respawns": "Times the worker process was respawned after dying",
-            "fallback_spans": "Spans recomputed in-parent after a worker death",
-        }
-        for key, help_text in per_worker_counters.items():
-            name = f"repro_shard_{key}_total"
-            lines.append(f"# HELP {name} {_escape_help(help_text)}")
-            lines.append(f"# TYPE {name} counter")
-            for i, snap in enumerate(shard_snapshots):
-                for w in snap.get("workers", []):
-                    labels = {"plane": i, "worker": w.get("worker")}
-                    lines.append(f"{name}{_labels(labels)} {_num(w.get(key, 0))}")
     return "\n".join(lines) + "\n"
 
 

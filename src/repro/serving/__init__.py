@@ -22,15 +22,8 @@ PR 4) into something a traffic-facing service can sit behind:
   (:mod:`repro.serving.transport`): the batch is encoded once into its flat
   ``int64`` vectors, spans ship as shared-memory views (pickle-5
   out-of-band frames where shm is unavailable), and results return the same
-  way.
-
-* :class:`Router` (:mod:`repro.serving.router`) — the multi-process front
-  door: N serving *planes* (each a :class:`Server` over its own
-  :class:`ShardExecutor`), requests routed by consistent hashing on the
-  program's content digest, worker caches pre-warmed from the compile
-  cache, health checks with drain-restarts, and
-  ``ServerMetrics``/SLO state aggregated across planes through one
-  ``metrics_endpoint``.
+  way.  :meth:`ShardExecutor.warm` pre-loads worker caches from the compile
+  cache and :meth:`ShardExecutor.respawn_dead` is the pool's health check.
 
 * :class:`SLOConfig` / :class:`LaneController` (:mod:`repro.serving.slo`) —
   admission control.  Given a ``target_p99_ms``, each program lane fits
@@ -39,19 +32,22 @@ PR 4) into something a traffic-facing service can sit behind:
   and prices every arrival with it, rejecting (:class:`AdmissionRejected`)
   or lane-isolating requests predicted to blow the SLO.
 
-All layers warm from the content-addressed compile cache
-(:mod:`repro.cache`) when one is configured: the server compiles through
-it, shard workers read artifacts from it instead of being shipped pickled
-programs, and the router pre-loads every worker before traffic arrives.
+``Server`` and ``ShardExecutor`` are independent: a server runs every batch
+in-process on its executor threads, and a sharded batch is a
+``prog.run_batch(values, executor=pool)`` call.  There is one process level
+because a second (servers over pools behind a consistent-hash router) never
+beat a single ``Server`` on the benchmark.  Both warm from the
+content-addressed compile cache (:mod:`repro.cache`) when one is
+configured: the server compiles through it, and shard workers read
+artifacts from it instead of being shipped pickled programs.
 
 The ``serving.*`` per-layer metrics of ``bench/`` (see ``bench/README.md``)
 measure the layers; the differential fuzz battery
 (``tests/test_fuzz_differential.py``) pins interpreter == compiled ==
-batched == sharded == routed across random programs.
+batched == sharded across random programs.
 """
 
 from .metrics import ServerMetrics
-from .router import Router, RouterClosed
 from .scheduler import Server, ServerClosed, ServerOverloaded
 from .shard import ShardExecutor, ShardExecutorClosed
 from .slo import AdmissionRejected, LaneController, SLOConfig
@@ -59,8 +55,6 @@ from .slo import AdmissionRejected, LaneController, SLOConfig
 __all__ = [
     "AdmissionRejected",
     "LaneController",
-    "Router",
-    "RouterClosed",
     "SLOConfig",
     "Server",
     "ServerClosed",

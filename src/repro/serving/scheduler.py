@@ -12,9 +12,6 @@ policy either.  :class:`Server` is a work-conserving lane per program:
 * the machine run happens on an executor thread, so the event loop keeps
   accepting requests while a batch executes — the next batch forms during
   the current one, and batch size follows load by itself;
-* batches at or above ``shard_threshold`` are routed to a
-  :class:`~repro.serving.shard.ShardExecutor` when one is attached, spreading
-  the batch across cores;
 * every batch runs with ``return_exceptions=True``: a trapping request
   resolves *its* future with :class:`~repro.compiler.batch.BatchError` while
   every sibling gets its exact value (per-request trap isolation).
@@ -36,21 +33,15 @@ import json
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Optional, Union
 
 from ..cache.store import ENV_DEFAULT, resolve_cache
 from ..compiler import CompiledProgram, compile_nsc
 from ..nsc import ast as A
-from ..obs.export import (
-    render_cache_prometheus,
-    render_prometheus,
-    render_shard_prometheus,
-)
+from ..obs.export import render_cache_prometheus, render_prometheus
 from ..obs.trace import Trace, activate
 from ..obs.trace import current as current_trace
 from .metrics import ServerMetrics
-from .shard import ShardExecutor
 from .slo import AdmissionRejected, LaneController, SLOConfig, request_size
 
 
@@ -93,14 +84,6 @@ class Server:
         Per-program queue bound.  :meth:`submit` awaits a slot (natural
         backpressure); :meth:`try_submit` raises :class:`ServerOverloaded`
         instead of waiting.
-    ``executor`` / ``shards`` / ``shard_threshold``
-        When an :class:`~repro.serving.shard.ShardExecutor` is attached,
-        batches of at least ``shard_threshold`` requests are split into
-        ``shards`` spans (default: one per worker) and executed across
-        cores.  ``shard_threshold`` defaults to ``max_batch`` (every full
-        batch shards); an explicit threshold above ``max_batch`` is
-        rejected — the scheduler never forms a batch that large, so the
-        executor would silently go unused.
     ``worker_threads``
         Executor threads running the (GIL-releasing NumPy) machine calls;
         more than one only helps when several lanes are active.
@@ -122,9 +105,6 @@ class Server:
         *,
         max_batch: int = 64,
         max_queue: int = 1024,
-        executor: Optional[ShardExecutor] = None,
-        shards: Optional[int] = None,
-        shard_threshold: Optional[int] = None,
         worker_threads: int = 1,
         max_steps: int = 10_000_000,
         max_programs: int = 64,
@@ -137,18 +117,8 @@ class Server:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if max_queue <= 0:
             raise ValueError(f"max_queue must be positive, got {max_queue}")
-        if shard_threshold is None:
-            shard_threshold = max_batch
-        elif executor is not None and shard_threshold > max_batch:
-            raise ValueError(
-                f"shard_threshold {shard_threshold} exceeds max_batch "
-                f"{max_batch}: no batch would ever reach the shard executor"
-            )
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self.executor = executor
-        self.shards = shards
-        self.shard_threshold = shard_threshold
         self.max_steps = max_steps
         #: untraced backend every batch dispatches with (None: each
         #: program's own field / the environment decide); functions compiled
@@ -354,11 +324,6 @@ class Server:
                     "serve/queued", t_submit, t_dispatch - t_submit, "serve"
                 )
 
-        if self.executor is not None and len(values) >= self.shard_threshold:
-            run = partial(self.executor.run_batch, prog, shards=self.shards)
-        else:
-            run = prog.run_batch
-
         def work():
             # executor threads do not inherit the loop task's contextvars;
             # re-activate the tracer so batch/encode-execute-decode spans
@@ -367,7 +332,7 @@ class Server:
             # never includes the wait for a thread another lane is using.
             t0 = time.perf_counter()
             with activate(tracer):
-                results = run(
+                results = prog.run_batch(
                     values,
                     max_steps=self.max_steps,
                     return_exceptions=True,
@@ -424,29 +389,21 @@ class Server:
         """One metrics scrape: returns ``(content_type, body)``.
 
         ``format="json"`` serves the :meth:`ServerMetrics.snapshot` dict
-        (plus the shard executor's per-worker/aggregate snapshot when one is
-        attached) as a JSON document; ``format="prometheus"`` (or
+        as a JSON document; ``format="prometheus"`` (or
         ``"text"``) serves the text exposition format, ready to mount
         behind any HTTP framework's ``/metrics`` route::
 
             content_type, body = await server.metrics_endpoint("prometheus")
         """
         snap = self.metrics.snapshot()
-        shard = (
-            self.executor.metrics_snapshot() if self.executor is not None else None
-        )
         cache = self._cache.snapshot() if self._cache is not None else None
         if format in ("prometheus", "text"):
             body = render_prometheus(snap)
-            if shard is not None:
-                body += render_shard_prometheus(shard)
             if cache is not None:
                 body += render_cache_prometheus(cache)
             return "text/plain; version=0.0.4; charset=utf-8", body
         if format != "json":
             raise ValueError(f"unknown metrics format {format!r} (json/prometheus)")
-        if shard is not None:
-            snap["shard_executor"] = shard
         if cache is not None:
             snap["compile_cache"] = cache
         if self.slo is not None:

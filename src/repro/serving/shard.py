@@ -41,8 +41,7 @@ spawn arguments, so a worker never re-reads ``REPRO_CACHE_DIR`` /
 ``REPRO_CACHE_MAX_MB`` from an environment that may differ from the
 parent's.  The blob-shipping path remains the fallback whenever the store
 misses, so correctness never depends on the cache; :meth:`warm` additionally
-pre-loads a program list into every worker before any traffic arrives (the
-router's cache warm-up).
+pre-loads a program list into every worker before any traffic arrives.
 
 Semantics mirror :func:`repro.compiler.batch.run_batch` exactly:
 
@@ -65,7 +64,6 @@ Semantics mirror :func:`repro.compiler.batch.run_batch` exactly:
 
 from __future__ import annotations
 
-import os
 import pickle
 import queue as queue_mod
 import threading
@@ -247,7 +245,10 @@ class _Worker:
 class ShardExecutor:
     """A persistent ``multiprocessing`` pool executing batch shards.
 
-    ``n_workers`` defaults to the machine's core count.  ``start_method``
+    ``n_workers`` defaults to one: on a 2-vCPU host two workers were no
+    faster than one on any benchmark workload (rps ratio 0.74-1.03), the
+    parent's encode/decode sharing the same cores.  More workers is the
+    paper's ``W'/p`` split; ask for it where cores are free.  ``start_method``
     defaults to ``fork`` where available (instant worker start; the plan
     caches and their locks are fork-safe, see ``repro.bvram.machine``),
     falling back to ``spawn``.  ``transport`` pins the span wire format to
@@ -259,14 +260,14 @@ class ShardExecutor:
 
     def __init__(
         self,
-        n_workers: Optional[int] = None,
+        n_workers: int = 1,
         start_method: Optional[str] = None,
         cache: object = ENV_DEFAULT,
         transport: Optional[str] = None,
     ) -> None:
-        if n_workers is not None and n_workers <= 0:
+        if n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
-        self.n_workers = n_workers or os.cpu_count() or 1
+        self.n_workers = n_workers
         #: the compile cache workers warm from (default: ``REPRO_CACHE_DIR``,
         #: ``None``/``False`` = classic blob shipping)
         self._cache = resolve_cache(cache)
@@ -345,7 +346,7 @@ class ShardExecutor:
         _tp.sweep_orphans(pids)
 
     def respawn_dead(self) -> int:
-        """Proactively respawn any dead worker (the router's health check).
+        """Proactively respawn any dead worker (the pool's health check).
 
         Dispatch already survives deaths reactively (spans are reclaimed
         in-parent); this removes the first-batch latency hit by rebuilding
@@ -448,8 +449,7 @@ class ShardExecutor:
 
         Writes each program into the compile cache (exactly as a dispatch
         would) and tells every worker to read the artifacts *now*, so the
-        first real batch after a (re)start pays no cold-ship round-trip —
-        the router calls this when it builds or drain-restarts a plane.
+        first real batch after a (re)start pays no cold-ship round-trip.
         Without a configured cache this is a no-op returning 0.
         """
         if self._closed:

@@ -18,11 +18,7 @@ record):
 * the multi-core shard path (:class:`repro.serving.ShardExecutor`, two
   workers) with global trap-index attribution — over **both** zero-copy
   transports (``shm`` shared-memory views and the ``oob`` pickle-5
-  out-of-band fallback; see :mod:`repro.serving.transport`);
-* the routed path (:class:`repro.serving.Router`, two planes, consistent
-  hashing on the program digest), whose trap indices must stay global to
-  the submitted batch across *two* process boundaries (router plane and
-  shard worker).
+  out-of-band fallback; see :mod:`repro.serving.transport`).
 
 Tier-1 runs ``FUZZ_CASES`` (default 200) cases under the fixed
 ``FUZZ_SEED``; the nightly CI job raises ``FUZZ_CASES`` to 2000.  Cases are
@@ -46,7 +42,7 @@ from repro.compiler import compile_nsc
 from repro.compiler.batch import BatchError
 from repro.nsc.eval import NSCEvalError, apply_function
 from repro.nsc.values import from_python
-from repro.serving import Router, ShardExecutor
+from repro.serving import ShardExecutor
 
 BASE_SEED = int(os.environ.get("FUZZ_SEED", "20260726"))
 N_CASES = int(os.environ.get("FUZZ_CASES", "200"))
@@ -95,7 +91,7 @@ def _exact_slot(res):
     return ("trap", res.index, res.cause_text) if isinstance(res, BatchError) else ("value", res)
 
 
-def _check_case(case, executor, oob_executor, router) -> list[str]:
+def _check_case(case, executor, oob_executor) -> list[str]:
     """All divergence descriptions for one case (empty = the case passes)."""
     fn = case.fn
     prog0 = compile_nsc(fn, opt_level=0)
@@ -156,14 +152,6 @@ def _check_case(case, executor, oob_executor, router) -> list[str]:
     ):
         if list(map(_exact_slot, got)) != list(map(_exact_slot, by_engine[engine])):
             problems.append(f"plain {engine} diverges from the from_python column")
-
-    routed = router.run_batch(prog2, values, shards=2, return_exceptions=True)
-    for i, res in enumerate(routed):
-        expect("routed", i, _slot_outcome(res))
-        if isinstance(res, BatchError) and res.index != i:
-            problems.append(
-                f"routed trap at slot {i} carries global index {res.index}"
-            )
     return problems
 
 
@@ -183,24 +171,14 @@ def oob_executor():
     ex.close()
 
 
-@pytest.fixture(scope="module")
-def router():
-    r = Router(planes=2, workers_per_plane=1, cache=None)
-    yield r
-    import asyncio
-
-    asyncio.run(r.close())
-    assert r.leaked_segments == []
-
-
 @pytest.mark.parametrize("chunk", range(N_CHUNKS))
-def test_fuzz_differential(chunk, shard_executor, oob_executor, router):
+def test_fuzz_differential(chunk, shard_executor, oob_executor):
     failures = []
     for i in range(chunk, N_CASES, N_CHUNKS):
         seed = BASE_SEED + i
         try:
             case = gen_case(seed)
-            problems = _check_case(case, shard_executor, oob_executor, router)
+            problems = _check_case(case, shard_executor, oob_executor)
         except Exception as e:  # CompileError, encoder crash, ...: all bugs
             problems = [f"engine crash: {type(e).__name__}: {e}"]
         if problems:

@@ -13,7 +13,6 @@ from repro.compiler import BatchError, compile_nsc
 from repro.nsc import builder as B
 from repro.nsc.types import NAT, SeqType
 from repro.serving import (
-    Router,
     Server,
     ServerClosed,
     ServerOverloaded,
@@ -306,20 +305,15 @@ def test_removed_knobs_are_refused():
     window = {"max_" + "delay_ms": 2.0}
     with pytest.raises(TypeError):
         Server(**window)
-    with pytest.raises(TypeError):
-        Router(planes=1, **window)
+    # one serving level: no shard pool attaches to a server; a sharded
+    # batch is prog.run_batch(values, executor=pool)
+    for knob in ("executor", "shards", "shard_threshold"):
+        with pytest.raises(TypeError):
+            Server(**{knob: None})
     with pytest.raises(TypeError):
         SLOConfig(target_p99_ms=10.0, window=64)
     with pytest.raises(ValueError):
         ShardExecutor(n_workers=1, transport="pickle")
-
-
-def test_shard_threshold_above_max_batch_rejected():
-    class _FakeExecutor:  # close enough: only identity is checked at init
-        pass
-
-    with pytest.raises(ValueError):
-        Server(max_batch=64, shard_threshold=256, executor=_FakeExecutor())
 
 
 def test_accepts_uncompiled_function():

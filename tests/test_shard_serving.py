@@ -150,6 +150,39 @@ def test_closed_executor_rejects():
     ex.close()  # idempotent
     with pytest.raises(ShardExecutorClosed):
         ex.run_batch(compile_nsc(_get_fn()), [[1]])
+    with pytest.raises(ShardExecutorClosed):
+        ex.warm([compile_nsc(_get_fn())])
+    assert ex.respawn_dead() == 0
+
+
+def test_default_pool_is_one_worker():
+    ex = ShardExecutor()
+    try:
+        assert ex.n_workers == 1 and len(ex._workers) == 1
+    finally:
+        ex.close()
+    with pytest.raises(ValueError):
+        ShardExecutor(n_workers=0)
+
+
+def test_respawn_dead_replaces_killed_workers(get_prog):
+    # the health check between batches: a killed worker is replaced before
+    # any batch has to discover the death (and recompute in-parent)
+    ex = ShardExecutor(n_workers=2)
+    try:
+        assert ex.respawn_dead() == 0
+        victim = ex._workers[0]
+        victim.process.terminate()
+        victim.process.join(timeout=5)
+        assert ex.respawn_dead() == 1
+        agg = ex.metrics_snapshot()["aggregate"]
+        assert agg["alive"] == 2 and agg["respawns"] == 1
+        batch = [[i] for i in range(4)]
+        assert ex.run_batch(get_prog, batch, shards=2) == get_prog.run_batch(batch)
+        assert ex.metrics_snapshot()["aggregate"]["fallback_spans"] == 0
+    finally:
+        ex.close()
+    assert ex.leaked_segments == []
 
 
 def test_dead_worker_with_multiple_pending_spans(get_prog):
@@ -370,5 +403,12 @@ def test_warm_preloads_worker_caches(tmp_path):
         assert sum(w.stats["warm_loads"] for w in ex._workers) == 2
         # the digest-only cold sends were served entirely from the warmed store
         assert sum(w.stats["cache_warm"] for w in ex._workers) == 2
+        # a respawned worker starts cold; warming it again reloads every worker
+        ex._workers[1].process.terminate()
+        ex._workers[1].process.join(timeout=5)
+        assert ex.respawn_dead() == 1
+        assert ex.warm([prog]) == 2
+        assert ex.run_batch(prog, batch, shards=2) == prog.run_batch(batch)
+        assert sum(w.stats["need_prog"] for w in ex._workers) == 0
     finally:
         ex.close()
