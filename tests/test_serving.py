@@ -305,15 +305,20 @@ def test_removed_knobs_are_refused():
     window = {"max_" + "delay_ms": 2.0}
     with pytest.raises(TypeError):
         Server(**window)
+    with pytest.raises(TypeError):
+        SLOConfig(target_p99_ms=10.0, window=64)
+    with pytest.raises(ValueError):
+        ShardExecutor(n_workers=1, transport="pickle")
+
+
+def test_sharding_knobs_are_refused():
     # one serving level: no shard pool attaches to a server; a sharded
     # batch is prog.run_batch(values, executor=pool)
     for knob in ("executor", "shards", "shard_threshold"):
         with pytest.raises(TypeError):
             Server(**{knob: None})
     with pytest.raises(TypeError):
-        SLOConfig(target_p99_ms=10.0, window=64)
-    with pytest.raises(ValueError):
-        ShardExecutor(n_workers=1, transport="pickle")
+        Server(max_batch=64, shard_threshold=256)
 
 
 def test_accepts_uncompiled_function():

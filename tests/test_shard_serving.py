@@ -150,6 +150,11 @@ def test_closed_executor_rejects():
     ex.close()  # idempotent
     with pytest.raises(ShardExecutorClosed):
         ex.run_batch(compile_nsc(_get_fn()), [[1]])
+
+
+def test_closed_pool_refuses_warm():
+    ex = ShardExecutor(n_workers=1)
+    ex.close()
     with pytest.raises(ShardExecutorClosed):
         ex.warm([compile_nsc(_get_fn())])
     assert ex.respawn_dead() == 0
@@ -403,7 +408,18 @@ def test_warm_preloads_worker_caches(tmp_path):
         assert sum(w.stats["warm_loads"] for w in ex._workers) == 2
         # the digest-only cold sends were served entirely from the warmed store
         assert sum(w.stats["cache_warm"] for w in ex._workers) == 2
-        # a respawned worker starts cold; warming it again reloads every worker
+    finally:
+        ex.close()
+
+
+def test_rewarm_after_respawn(tmp_path):
+    # a respawned worker starts cold; warming it again reloads every worker
+    cache = CompileCache(str(tmp_path))
+    ex = ShardExecutor(n_workers=2, cache=cache)
+    try:
+        prog = compile_nsc(_affine_fn(), cache=None)
+        assert ex.warm([prog]) == 2
+        batch = [[1, 2], [3, 4], [5, 6], [7, 8]]
         ex._workers[1].process.terminate()
         ex._workers[1].process.join(timeout=5)
         assert ex.respawn_dead() == 1
