@@ -29,7 +29,10 @@ fields directed by the type alone, without building the S-object tree.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import dataclasses
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from heapq import heappop, heappush
 from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -77,10 +80,13 @@ class Emitter:
     Soundness: the table is cleared at every label (join points may be
     reached with different register states, e.g. loop back-edges), and any
     write to an *existing* register (``move`` with an explicit ``dst``)
-    evicts the entries that mention it.  ``move`` itself is never cached —
-    loop phi copies must stay distinct.  :meth:`vn_checkpoint` /
-    :meth:`vn_restore` let the flattener carry the table across a
-    trap-guard's label, whose only non-fallthrough predecessor raises.
+    evicts the entries that read it as an operand or hold their value in it
+    (a register number that is a ``load_const`` *value* is not an operand).
+    An index from register to entries makes that eviction cost the entries
+    evicted, not the table.  ``move`` itself is never cached — loop phi
+    copies must stay distinct.  :meth:`vn_checkpoint` / :meth:`vn_restore`
+    let the flattener carry the table across a trap-guard's label, whose
+    only non-fallthrough predecessor raises.
     """
 
     def __init__(self, reserved: int = 0, value_number: bool = False) -> None:
@@ -89,6 +95,11 @@ class Emitter:
         self.n_regs = reserved
         self._label_counter = 0
         self._vn: Optional[dict[tuple, int]] = {} if value_number else None
+        # the eviction index: register -> keys reading it (append-only lists,
+        # so an entry may name a key evicted since: eviction re-checks), and
+        # value register -> the key it was emitted for
+        self._vn_readers: defaultdict[int, list[tuple]] = defaultdict(list)
+        self._vn_key_of: dict[int, tuple] = {}
 
     # -- registers / labels -------------------------------------------------
 
@@ -107,30 +118,46 @@ class Emitter:
         self.labels[label] = len(self.instructions)
         if self._vn is not None:
             self._vn.clear()
+            self._vn_readers.clear()
+            self._vn_key_of.clear()
 
     def emit(self, instr: isa.Instruction) -> None:
         self.instructions.append(instr)
 
     # -- value numbering ----------------------------------------------------
 
-    def vn_checkpoint(self) -> Optional[dict[tuple, int]]:
-        """Snapshot the value-numbering table (before emitting a trap guard)."""
-        return dict(self._vn) if self._vn is not None else None
+    def vn_checkpoint(self) -> Optional[tuple]:
+        """Snapshot the value-numbering table (before emitting a trap guard).
 
-    def vn_restore(self, snapshot: Optional[dict[tuple, int]]) -> None:
+        The index lists are shared, not copied: they only ever grow, and an
+        extra entry costs a look-up, never a wrong eviction.
+        """
+        if self._vn is None:
+            return None
+        return dict(self._vn), self._vn_readers.copy(), dict(self._vn_key_of)
+
+    def vn_restore(self, snapshot: Optional[tuple]) -> None:
         """Restore a snapshot taken by :meth:`vn_checkpoint`."""
         if self._vn is not None and snapshot is not None:
-            self._vn = snapshot
+            self._vn, self._vn_readers, self._vn_key_of = snapshot
 
     def _invalidate(self, dst: int) -> None:
         """Evict value-numbering facts touching an overwritten register."""
-        if self._vn:
-            self._vn = {
-                k: v for k, v in self._vn.items() if v != dst and dst not in k
-            }
+        vn = self._vn
+        if vn:
+            for key in self._vn_readers.pop(dst, ()):
+                vn.pop(key, None)
+            key = self._vn_key_of.pop(dst, None)
+            if key is not None and vn.get(key) == dst:
+                del vn[key]
 
-    def _cached(self, key: tuple, instr_factory) -> int:
-        """Emit a pure instruction into a fresh register, or reuse a VN hit."""
+    def _cached(self, opcode: tuple, operands: tuple[int, ...], instr_factory) -> int:
+        """Emit a pure instruction into a fresh register, or reuse a VN hit.
+
+        ``opcode`` is the instruction name with its immediates (``op``,
+        ``value``), ``operands`` its operand registers; together the key.
+        """
+        key = opcode + operands
         if self._vn is not None:
             hit = self._vn.get(key)
             if hit is not None:
@@ -139,6 +166,9 @@ class Emitter:
         self.emit(instr_factory(dst))
         if self._vn is not None:
             self._vn[key] = dst
+            self._vn_key_of[dst] = key
+            for r in operands:
+                self._vn_readers[r].append(key)
         return dst
 
     # -- one wrapper per instruction (each returns its destination) ---------
@@ -153,67 +183,67 @@ class Emitter:
 
     def arith(self, op: str, a: int, b: int) -> int:
         return self._cached(
-            ("arith", op, a, b), lambda dst: isa.Arith(dst=dst, op=op, a=a, b=b)
+            ("arith", op), (a, b), lambda dst: isa.Arith(dst=dst, op=op, a=a, b=b)
         )
 
     def un_arith(self, op: str, src: int) -> int:
         return self._cached(
-            ("un_arith", op, src), lambda dst: isa.UnArith(dst=dst, op=op, src=src)
+            ("un_arith", op), (src,), lambda dst: isa.UnArith(dst=dst, op=op, src=src)
         )
 
     def load_const(self, value: int) -> int:
         return self._cached(
-            ("load_const", value), lambda dst: isa.LoadConst(dst=dst, value=value)
+            ("load_const", value), (), lambda dst: isa.LoadConst(dst=dst, value=value)
         )
 
     def load_empty(self) -> int:
-        return self._cached(("load_empty",), lambda dst: isa.LoadEmpty(dst=dst))
+        return self._cached(("load_empty",), (), lambda dst: isa.LoadEmpty(dst=dst))
 
     def append(self, a: int, b: int) -> int:
         return self._cached(
-            ("append", a, b), lambda dst: isa.AppendI(dst=dst, a=a, b=b)
+            ("append",), (a, b), lambda dst: isa.AppendI(dst=dst, a=a, b=b)
         )
 
     def length(self, src: int) -> int:
-        return self._cached(("length", src), lambda dst: isa.LengthI(dst=dst, src=src))
+        return self._cached(("length",), (src,), lambda dst: isa.LengthI(dst=dst, src=src))
 
     def enumerate_(self, src: int) -> int:
         return self._cached(
-            ("enumerate", src), lambda dst: isa.EnumerateI(dst=dst, src=src)
+            ("enumerate",), (src,), lambda dst: isa.EnumerateI(dst=dst, src=src)
         )
 
     def bm_route(self, data: int, counts: int, bound: int) -> int:
         return self._cached(
-            ("bm_route", data, counts, bound),
+            ("bm_route",), (data, counts, bound),
             lambda dst: isa.BmRoute(dst=dst, data=data, counts=counts, bound=bound),
         )
 
     def sbm_route(self, bound: int, counts: int, data: int, segments: int) -> int:
         return self._cached(
-            ("sbm_route", bound, counts, data, segments),
+            ("sbm_route",), (bound, counts, data, segments),
             lambda dst: isa.SbmRoute(
                 dst=dst, bound=bound, counts=counts, data=data, segments=segments
             ),
         )
 
     def select(self, src: int) -> int:
-        return self._cached(("select", src), lambda dst: isa.Select(dst=dst, src=src))
+        return self._cached(("select",), (src,), lambda dst: isa.Select(dst=dst, src=src))
 
     def flag_merge(self, flags: int, a: int, b: int) -> int:
         return self._cached(
-            ("flag_merge", flags, a, b),
+            ("flag_merge",), (flags, a, b),
             lambda dst: isa.FlagMerge(dst=dst, flags=flags, a=a, b=b),
         )
 
     def seg_scan(self, op: str, data: int, segments: int) -> int:
         return self._cached(
-            ("seg_scan", op, data, segments),
+            ("seg_scan", op), (data, segments),
             lambda dst: isa.SegScan(dst=dst, op=op, data=data, segments=segments),
         )
 
     def seg_reduce(self, op: str, data: int, segments: int) -> int:
         return self._cached(
-            ("seg_reduce", op, data, segments),
+            ("seg_reduce", op), (data, segments),
             lambda dst: isa.SegReduce(dst=dst, op=op, data=data, segments=segments),
         )
 
@@ -235,11 +265,45 @@ class Emitter:
 # ---------------------------------------------------------------------------
 
 
-def _renumber(instr: isa.Instruction, mapping: dict[int, int]) -> isa.Instruction:
-    fields = isa.REG_FIELDS.get(type(instr))
-    if not fields:
-        return instr
-    return replace(instr, **{f: mapping[getattr(instr, f)] for f in fields})
+#: the fields of each instruction class that are not registers (``op``, ``value``)
+_IMMEDIATE_FIELDS = {
+    cls: tuple(f.name for f in dataclasses.fields(cls) if f.name not in regs)
+    for cls, regs in isa.REG_FIELDS.items()
+}
+
+
+def _renumber(instr: isa.Instruction, regs: tuple[int, ...]) -> isa.Instruction:
+    """``instr`` with its ``REG_FIELDS`` set to ``regs``, in that order."""
+    cls = type(instr)
+    kwargs = dict(zip(isa.REG_FIELDS[cls], regs))
+    for f in _IMMEDIATE_FIELDS[cls]:
+        kwargs[f] = getattr(instr, f)
+    return cls(**kwargs)
+
+
+def _loop_spans(
+    instructions: list[isa.Instruction], labels: dict[str, int]
+) -> tuple[list[int], list[int]]:
+    """The loop regions ``[label, backward-jump]``, merged where they overlap.
+
+    Returns the starts and the ends of the merged spans, both ascending; the
+    spans are disjoint, so an interval reaching into one never reaches a
+    second through it.
+    """
+    regions = sorted(
+        (labels[instr.label], i)
+        for i, instr in enumerate(instructions)
+        if type(instr) in (isa.Goto, isa.GotoIfEmpty) and labels[instr.label] <= i
+    )
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in regions:
+        if his and lo <= his[-1]:
+            his[-1] = max(his[-1], hi)
+        else:
+            los.append(lo)
+            his.append(hi)
+    return los, his
 
 
 def reuse_registers(
@@ -261,74 +325,63 @@ def reuse_registers(
     instruction's destination cannot alias its operands: every register of
     every executed instruction holds exactly the vector it held in the
     unoptimized program, which keeps the ``W'`` accounting bit-identical.
+
+    Linear up to a sort: the overlapping loop regions merge into disjoint
+    spans first, so each interval is extended by two bisections; the free
+    pool and the active intervals are heaps (the lowest free number is
+    always the one taken).
     """
-    n = len(instructions)
+    reads = [instr.registers_read() for instr in instructions]
+    writes = [instr.registers_written() for instr in instructions]
+    # in order of first occurrence, reads before writes: the tie-break of the sort below
     first: dict[int, int] = {}
     last: dict[int, int] = {}
+    for i, (rs, ws) in enumerate(zip(reads, writes)):
+        for r in rs + ws:
+            if r not in first:
+                first[r] = i
+            last[r] = i
 
-    def touch(reg: int, pos: int) -> None:
-        if reg not in first:
-            first[reg] = pos
-        first[reg] = min(first[reg], pos)
-        last[reg] = max(last.get(reg, pos), pos)
-
-    for i, instr in enumerate(instructions):
-        for r in instr.registers_read():
-            touch(r, i)
-        for r in instr.registers_written():
-            touch(r, i)
-
+    # Inputs (live from before the first instruction) and outputs (read
+    # after the last) keep their numbers, so only the rest get an interval.
     pinned = max(n_inputs, n_outputs)
-    for r in range(n_inputs):
-        touch(r, -1)  # inputs are live from before the first instruction
-    for r in range(n_outputs):
-        touch(r, n)  # outputs are read after the last instruction
-
-    # loop regions: [target, jump-position] for every backward jump
-    regions = [
-        (labels[instr.label], i)
-        for i, instr in enumerate(instructions)
-        if isinstance(instr, (isa.Goto, isa.GotoIfEmpty)) and labels[instr.label] <= i
-    ]
-    changed = True
-    while changed:  # extending into one region may reach another
-        changed = False
-        for lo, hi in regions:
-            for r in first:
-                if first[r] <= hi and last[r] >= lo:  # interval overlaps region
-                    if first[r] > lo or last[r] < hi:
-                        first[r] = min(first[r], lo)
-                        last[r] = max(last[r], hi)
-                        changed = True
+    los, his = _loop_spans(instructions, labels)
+    intervals: list[tuple[int, int, int]] = []  # (start, end, old register)
+    for old, start in first.items():
+        if old < pinned:
+            continue
+        end = last[old]
+        j = bisect_left(his, start)  # the first span that does not end before the interval
+        k = bisect_right(los, end)  # one past the last span that starts by its end
+        if j < k:  # the interval overlaps spans j..k-1: it must cover them
+            if los[j] < start:
+                start = los[j]
+            if his[k - 1] > end:
+                end = his[k - 1]
+        intervals.append((start, end, old))
+    intervals.sort(key=itemgetter(0))
 
     mapping: dict[int, int] = {r: r for r in range(pinned)}
-    free: list[int] = []
+    free: list[int] = []  # heap
+    active: list[tuple[int, int]] = []  # heap of (end, new register)
     next_reg = pinned
-    active: list[tuple[int, int]] = []  # (end, new_reg), kept sorted
-    for old in sorted((r for r in first if r not in mapping), key=lambda r: first[r]):
-        start = first[old]
+    for start, end, old in intervals:
         while active and active[0][0] < start:  # strict: end == start conflicts
-            free.append(active.pop(0)[1])
+            heappush(free, heappop(active)[1])
         if free:
-            new = min(free)
-            free.remove(new)
+            new = heappop(free)
         else:
             new = next_reg
             next_reg += 1
         mapping[old] = new
-        entry = (last[old], new)
-        lo, hi = 0, len(active)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if active[mid][0] < entry[0]:
-                lo = mid + 1
-            else:
-                hi = mid
-        active.insert(lo, entry)
+        heappush(active, (end, new))
 
-    out = [_renumber(instr, mapping) for instr in instructions]
-    n_registers = max(max(mapping.values(), default=0) + 1, pinned, 1)
-    return out, n_registers
+    renamed = [tuple(map(mapping.__getitem__, ws + rs)) for ws, rs in zip(writes, reads)]
+    out = [
+        instr if new == ws + rs else _renumber(instr, new)
+        for instr, ws, rs, new in zip(instructions, writes, reads, renamed)
+    ]
+    return out, max(next_reg, 1)
 
 
 # ---------------------------------------------------------------------------

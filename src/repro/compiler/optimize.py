@@ -40,7 +40,10 @@ value numbering in :mod:`repro.compiler.codegen`):
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import replace
+from itertools import accumulate, chain, compress
+from operator import not_
 
 from .nsa import (
     BLOCK_FIELDS as _BLOCK_FIELDS,
@@ -421,35 +424,42 @@ def eliminate_dead_instructions(
     division-by-zero trap, and control flow (``goto``/``trap``/``halt``)
     writes no registers so it is never touched.  Jump labels are re-indexed
     to account for removed instructions.
+
+    One pass, linear in the program: every register carries the number of
+    reads left in the program, and removing a dead instruction releases its
+    reads — a register whose count reaches zero makes each of its candidate
+    writers dead in turn (a worklist, so a dead chain of any length goes in
+    one call).  Deadness only grows as instructions go, so this reaches the
+    same least fixpoint as deleting every dead instruction round by round.
     """
     from ..bvram import isa
 
-    def removable(instr) -> bool:
-        if not instr.registers_written():
-            return False
-        if isinstance(instr, isa.Arith) and instr.op in ("/", "mod"):
-            return False  # semantic trap: division by zero
-        return True
+    reads = [instr.registers_read() for instr in instructions]
+    uses = Counter(chain.from_iterable(reads))
+    uses.update(range(n_outputs))
+    writers: defaultdict[int, list[int]] = defaultdict(list)  # register -> live candidates
+    work: list[int] = []
+    for i, instr in enumerate(instructions):
+        written = instr.registers_written()
+        if not written or (type(instr) is isa.Arith and instr.op in ("/", "mod")):
+            continue  # control flow, or the semantic trap of division by zero
+        (dst,) = written
+        if uses[dst]:
+            writers[dst].append(i)
+        else:
+            work.append(i)
+    if not work:
+        return instructions, labels
 
-    while True:
-        read: set[int] = set(range(n_outputs))
-        for instr in instructions:
-            read.update(instr.registers_read())
-        dead = [
-            i
-            for i, instr in enumerate(instructions)
-            if removable(instr) and not (set(instr.registers_written()) & read)
-        ]
-        if not dead:
-            return instructions, labels
-        dead_set = set(dead)
-        # labels point at instruction indices: shift by the removals before them
-        kept = [instr for i, instr in enumerate(instructions) if i not in dead_set]
-        shift = [0] * (len(instructions) + 1)
-        removed = 0
-        for i in range(len(instructions) + 1):
-            shift[i] = removed
-            if i < len(instructions) and i in dead_set:
-                removed += 1
-        labels = {name: idx - shift[idx] for name, idx in labels.items()}
-        instructions = kept
+    dead = [False] * len(instructions)
+    while work:
+        i = work.pop()
+        dead[i] = True
+        for r in reads[i]:
+            uses[r] -= 1
+            if not uses[r]:
+                work.extend(writers.pop(r, ()))
+    kept = list(compress(instructions, map(not_, dead)))
+    # a label points at an instruction index: it moves down by the removals before it
+    kept_before = list(accumulate(map(not_, dead), initial=0))
+    return kept, {name: kept_before[idx] for name, idx in labels.items()}
