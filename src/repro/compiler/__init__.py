@@ -184,8 +184,8 @@ class CompiledProgram(Program):
 
         Each span's field list is exactly what :meth:`encode_batch_fields`
         would produce for that sub-batch, but as zero-copy views into
-        ``fields`` — the entry point the shared-memory shard transport
-        ships spans through (see :func:`repro.compiler.codegen.split_batch`).
+        ``fields`` — the entry point the shard transport ships spans
+        through (see :func:`repro.compiler.codegen.split_batch`).
         """
         assert self.dom is not None
         return split_batch(fields, self.dom, spans)
@@ -194,8 +194,8 @@ class CompiledProgram(Program):
         """Rebuild ``count`` result S-objects from *output* field vectors.
 
         The inverse transport entry point: ``fields`` holds the codomain
-        encoding — e.g. the output registers a shard worker shipped back by
-        reference — rather than a full register file.
+        encoding — e.g. the output registers a shard worker shipped back as
+        out-of-band frames — rather than a full register file.
         """
         assert self.cod is not None
         return decode_batch(fields, self.cod, count)

@@ -214,12 +214,12 @@ def run_batch_fields(
 
     ``fields`` is the ``encode_batch(values, prog.dom)`` image of ``count``
     inputs — value fields only, the batch-template register is appended
-    here.  This is the shard-worker entry point of the zero-copy transport:
-    the fields may be read-only views into a shared-memory segment, and on
+    here.  This is the shard-worker entry point of the span transport: the
+    fields may be read-only views over received out-of-band frames, and on
     the fast path **no S-object is ever materialised** — the return is
     ``("registers", regs)``, the batched twin's output registers still in
-    flat encoding, for the caller to ship by reference and decode on the
-    other side.
+    flat encoding, for the caller to ship back and decode on the other
+    side.
 
     When the twin cannot run (no ``source_fn``, compile failure, or the
     batched run trapped), the inputs are decoded from the fields and the

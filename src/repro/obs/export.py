@@ -161,7 +161,8 @@ def render_shard_prometheus(shard_snapshot: dict, prefix: str = "repro_shard") -
         "cache_warm": "Cold dispatches the worker served from the compile cache",
         "warm_loads": "Programs pre-loaded into the worker by cache warm-up",
         "respawns": "Times the worker process was respawned after dying",
-        "fallback_spans": "Spans recomputed in-parent after a worker death",
+        "fallback_spans": "Spans recomputed in-parent after a worker death or error",
+        "bytes_shipped": "Out-of-band frame bytes sent to the worker plus received from it",
     }
     workers = shard_snapshot.get("workers", [])
     for key, help_text in per_worker_counters.items():

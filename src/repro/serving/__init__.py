@@ -18,11 +18,10 @@ PR 4) into something a traffic-facing service can sit behind:
   into contiguous spans, each span runs its own batched machine on its own
   core, results reassemble order-preserving, and trap indices are re-based
   to the global batch — the Brent ``O(T' + W'/p)`` work-sharing made real
-  instead of simulated.  Spans travel over the **zero-copy transport**
-  (:mod:`repro.serving.transport`): the batch is encoded once into its flat
-  ``int64`` vectors, spans ship as shared-memory views (pickle-5
-  out-of-band frames where shm is unavailable), and results return the same
-  way.  :meth:`ShardExecutor.warm` pre-loads worker caches from the compile
+  instead of simulated.  The batch is encoded once into its flat ``int64``
+  vectors, each span's slices of them ship as pickle-5 out-of-band frames
+  (:mod:`repro.serving.transport`, the one wire format), and results return
+  the same way.  :meth:`ShardExecutor.warm` pre-loads worker caches from the compile
   cache and :meth:`ShardExecutor.respawn_dead` is the pool's health check.
 
 * :class:`SLOConfig` / :class:`LaneController` (:mod:`repro.serving.slo`) —

@@ -14,22 +14,16 @@ see ``CompiledProgram.__getstate__``), compiles its batched twin and
 execution plans locally on first use, and keeps them in a bounded per-worker
 cache.
 
-Spans travel over the **zero-copy transport** (:mod:`repro.serving.transport`):
-the parent encodes the batch once into its canonical flat ``int64`` vectors —
-plain Python requests go straight into them, directed by the program's input
-type, with no S-object tree on the way in —
-places them in one shared-memory segment, and each worker builds its register
-file as read-only views addressed by ``(offset, length)`` descriptors — no
-per-span re-encode, no pickled S-object graphs.  Results return the same way
-(the batched twin's output registers, copied once into a worker-created
-segment the parent adopts and decodes).  Segment lifecycle is explicit: a
-batch segment holds one reference per pending span and is unlinked when the
-last span completes; :meth:`ShardExecutor.close` force-releases everything,
-records what leaked, and sweeps orphans left by dead workers.  Where shared
-memory is unavailable — or a batch's segment cannot be created — the spans
-ship as pickle-5 out-of-band frames (``oob``).  A batch the parent cannot
-encode is the caller's error and never reaches a worker: it is answered by
-in-process ``run_batch``, which isolates the malformed request.
+Spans travel in one wire format (:mod:`repro.serving.transport`): the parent
+encodes the batch once into its canonical flat ``int64`` vectors — plain
+Python requests go straight into them, directed by the program's input
+type, with no S-object tree on the way in — and each span's slices of those
+vectors cross the worker's queue as pickle-5 out-of-band frames; the worker
+runs on read-only views of the frames it received.  Results return the same
+way (the batched twin's output registers), and the parent decodes them
+exactly once.  A batch the parent cannot encode is the caller's error and
+never reaches a worker: it is answered by in-process ``run_batch``, which
+isolates the malformed request.
 
 When a compile cache is configured (:mod:`repro.cache`, ``REPRO_CACHE_DIR``
 or the ``cache=`` constructor knob), workers **warm from the cache instead
@@ -37,7 +31,8 @@ of being shipped pickled programs**: the executor writes each program's
 envelope into the store once (reusing the very bytes it would have shipped)
 and sends only the content digest; the worker reads the artifact from disk.
 The resolved cache directory *and size bound* are pinned into the worker's
-spawn arguments, so a worker never re-reads ``REPRO_CACHE_DIR`` /
+spawn arguments, and the worker compiles its batched twins through that
+store too, so a worker never re-reads ``REPRO_CACHE_DIR`` /
 ``REPRO_CACHE_MAX_MB`` from an environment that may differ from the
 parent's.  The blob-shipping path remains the fallback whenever the store
 misses, so correctness never depends on the cache; :meth:`warm` additionally
@@ -78,16 +73,14 @@ import numpy as np
 
 from ..cache.store import ENV_DEFAULT, CompileCache, resolve_cache
 from ..compiler.batch import ENCODE_ERRORS, BatchError, run_batch_fields, split_shards
-from . import transport as _tp
-from .transport import TRANSPORT_OOB, TRANSPORT_SHM, SegmentLedger, resolve_transport
+from .transport import TRANSPORTS, pack_oob, unpack_oob
 
 #: per-worker program cache bound — old entries are evicted LRU and
 #: transparently re-shipped on the next miss (the "need_prog" reply)
 _WORKER_CACHE_SIZE = 64
 
 _STATUS_OK = "ok"
-_STATUS_OK_SHM = "ok_shm"
-_STATUS_OK_OOB = "ok_oob"
+_STATUS_REGISTERS = "registers"
 _STATUS_ERROR = "error"
 _STATUS_NEED_PROG = "need_prog"
 _STATUS_WARM = "warm_ok"
@@ -98,6 +91,10 @@ _KIND_WARM = "warm"
 
 class ShardExecutorClosed(RuntimeError):
     """The executor was closed; no further batches can be dispatched."""
+
+
+def _frame_bytes(frames: Sequence[bytes]) -> int:
+    return sum(len(f) for f in frames)
 
 
 def _worker_main(in_q, out_q, cache_dir=None, cache_max_bytes=None) -> None:
@@ -140,7 +137,6 @@ def _worker_main(in_q, out_q, cache_dir=None, cache_max_bytes=None) -> None:
             continue
         (_, task_id, shard_idx, key, blob, digest, payload, count, max_steps,
          backend) = msg
-        seg = None
         try:
             prog = cache.get(key)
             if prog is None:
@@ -154,34 +150,23 @@ def _worker_main(in_q, out_q, cache_dir=None, cache_max_bytes=None) -> None:
                     # evicted / never shipped / cache miss: ask for the blob
                     out_q.put((task_id, shard_idx, _STATUS_NEED_PROG, None))
                     continue
+                # the batched twin compiles through the pinned store, not
+                # through whatever REPRO_CACHE_DIR this process inherited
+                prog._compile_cache = store
                 cache[key] = prog
                 while len(cache) > _WORKER_CACHE_SIZE:
                     cache.popitem(last=False)
             else:
                 cache.move_to_end(key)
-            kind = payload[0]
-            if kind == TRANSPORT_SHM:
-                seg, fields = _tp.attach_span(payload[1], payload[2])
-            else:  # TRANSPORT_OOB
-                fields = _tp.unpack_oob(payload[1], payload[2])
             # an explicit per-call backend rides the message, the program's
             # own pickled ``backend`` field applies otherwise
             tag, res = run_batch_fields(
-                prog, fields, count, max_steps=max_steps, backend=backend
+                prog, unpack_oob(*payload), count, max_steps=max_steps, backend=backend
             )
             if tag == "registers":
-                # fast path: ship the output registers by reference — no
+                # fast path: the output registers go back as frames — no
                 # S-object was ever built on this side of the boundary
-                if kind == TRANSPORT_SHM:
-                    name, desc = _tp.pack_registers(res)
-                    out_q.put(
-                        (task_id, shard_idx, _STATUS_OK_SHM, (name, desc, count))
-                    )
-                else:
-                    meta, frames = _tp.pack_oob(res)
-                    out_q.put(
-                        (task_id, shard_idx, _STATUS_OK_OOB, (meta, frames, count))
-                    )
+                out_q.put((task_id, shard_idx, _STATUS_REGISTERS, (*pack_oob(res), count)))
             else:
                 # the twin degraded to the per-input fallback loop: results
                 # are S-objects and in-slot BatchErrors — both pickle by
@@ -196,12 +181,6 @@ def _worker_main(in_q, out_q, cache_dir=None, cache_max_bytes=None) -> None:
             except Exception:
                 e = RuntimeError(repr(e))
             out_q.put((task_id, shard_idx, _STATUS_ERROR, e))
-        finally:
-            if seg is not None:
-                try:
-                    seg.close()  # unmap only; the parent's ledger unlinks
-                except Exception:
-                    pass
 
 
 class _Worker:
@@ -219,7 +198,8 @@ class _Worker:
         #: program re-ships, cold dispatches served from the compile cache
         #: (digest-only send, no ``need_prog`` came back), programs
         #: pre-loaded by :meth:`ShardExecutor.warm`, respawns after death,
-        #: spans recomputed in-parent, and busy seconds (span dispatch ->
+        #: spans recomputed in-parent, out-of-band frame bytes sent to the
+        #: worker plus received from it, and busy seconds (span dispatch ->
         #: collection)
         self.stats = {
             "spans": 0,
@@ -230,6 +210,7 @@ class _Worker:
             "warm_loads": 0,
             "respawns": 0,
             "fallback_spans": 0,
+            "bytes_shipped": 0,
             "busy_s": 0.0,
         }
 
@@ -242,44 +223,81 @@ class _Worker:
             self.shipped.popitem(last=False)
 
 
+class _Span:
+    """One dispatched span of a task, kept until its result is in."""
+
+    __slots__ = ("worker", "chunk", "payload", "sent_at", "optimistic")
+
+    def __init__(self, worker: _Worker, chunk: list, payload) -> None:
+        self.worker = worker
+        self.chunk = chunk  # the span's requests, for an in-parent recompute
+        self.payload = payload  # (meta, frames), kept for a need_prog resend
+        self.sent_at = time.perf_counter()
+        self.optimistic = False  # sent digest-only: a cache warm if it completes
+
+
+class _Task:
+    """One batch in flight: its program, pending spans and finished results."""
+
+    def __init__(self, prog, task_id: int, key, blob, digest, max_steps, backend) -> None:
+        self.prog, self.id = prog, task_id
+        self.key, self.blob, self.digest = key, blob, digest
+        self.max_steps, self.backend = max_steps, backend
+        self.pending: dict[int, _Span] = {}
+        self.done: dict[int, list] = {}
+        # workers whose blob resend is already in flight for this task: a
+        # second need_prog from the same worker (a later span dispatched
+        # before the blob arrived) must not re-count the miss or ship the
+        # blob again — FIFO guarantees the earlier resend lands first
+        self.resent: set[int] = set()
+
+    def recompute(self, shard_idx: int) -> None:
+        """Run a pending span in-process instead of on its worker."""
+        span = self.pending[shard_idx]
+        self.done[shard_idx] = self.prog.run_batch(
+            span.chunk, max_steps=self.max_steps, return_exceptions=True,
+            backend=self.backend,
+        )
+        del self.pending[shard_idx]
+        span.worker.stats["fallback_spans"] += 1
+
+
 class ShardExecutor:
     """A persistent ``multiprocessing`` pool executing batch shards.
 
     ``n_workers`` defaults to one: on a 2-vCPU host two workers were no
     faster than one on any benchmark workload (rps ratio 0.74-1.03), the
     parent's encode/decode sharing the same cores.  More workers is the
-    paper's ``W'/p`` split; ask for it where cores are free.  ``start_method``
-    defaults to ``fork`` where available (instant worker start; the plan
-    caches and their locks are fork-safe, see ``repro.bvram.machine``),
-    falling back to ``spawn``.  ``transport`` pins the span wire format to
-    ``shm`` or ``oob``; by default the executor takes ``shm`` where shared
-    memory works and ``oob`` otherwise (:mod:`repro.serving.transport`).
-    Dispatch is serialised by an internal lock, so one executor may be
-    shared by many threads (e.g. the server's executor threads).
+    paper's ``W'/p`` split; ask for it where cores are free.  Workers start
+    with ``fork`` where the platform has it (instant start; the plan caches
+    and their locks are fork-safe, see ``repro.bvram.machine``), else with
+    ``spawn``.  ``transport`` accepts only ``None`` or ``"oob"``, the one
+    wire format (:mod:`repro.serving.transport`); it stays because the
+    benchmark builds one executor per name in ``TRANSPORTS``.  Dispatch is
+    serialised by an internal lock, so one executor may be shared by many
+    threads (e.g. the server's executor threads).
     """
 
     def __init__(
         self,
         n_workers: int = 1,
-        start_method: Optional[str] = None,
         cache: object = ENV_DEFAULT,
         transport: Optional[str] = None,
     ) -> None:
         if n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
+        if transport is not None and transport not in TRANSPORTS:
+            raise ValueError(
+                f"unknown shard transport {transport!r} (choose from {', '.join(TRANSPORTS)})"
+            )
         self.n_workers = n_workers
         #: the compile cache workers warm from (default: ``REPRO_CACHE_DIR``,
         #: ``None``/``False`` = classic blob shipping)
         self._cache = resolve_cache(cache)
-        self.transport = resolve_transport(transport)
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = mp.get_context(start_method)
-        self.start_method = start_method
-        self._ledger = SegmentLedger()
-        #: segment names still referenced when :meth:`close` ran — the leak
-        #: check; stays ``None`` until close, ``[]`` on a clean shutdown
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+        #: ``None`` until :meth:`close`, then ``[]``: nothing can leak since
+        #: spans carry no shared segments; kept for the benchmark, which reads it
         self.leaked_segments: Optional[list[str]] = None
         self._lock = threading.Lock()
         self._task_counter = 0
@@ -323,14 +341,11 @@ class ShardExecutor:
         worker.shipped.clear()
 
     def close(self) -> None:
-        """Stop every worker, release every segment, record leaks (idempotent)."""
+        """Stop every worker (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        pids = []
         for w in self._workers:
-            if w.process is not None and w.process.pid is not None:
-                pids.append(w.process.pid)
             try:
                 w.in_q.put(None)
             except Exception:
@@ -340,10 +355,7 @@ class ShardExecutor:
             if w.process.is_alive():
                 w.process.terminate()
                 w.process.join(timeout=5)
-        # explicit lifecycle first (the leak check), then the orphan sweep
-        # for result segments a dead worker created but never handed over
-        self.leaked_segments = self._ledger.close()
-        _tp.sweep_orphans(pids)
+        self.leaked_segments = []
 
     def respawn_dead(self) -> int:
         """Proactively respawn any dead worker (the pool's health check).
@@ -355,16 +367,11 @@ class ShardExecutor:
         if self._closed:
             return 0
         with self._lock:
-            pids = []
-            for w in self._workers:
-                if w.process is not None and not w.process.is_alive():
-                    if w.process.pid is not None:
-                        pids.append(w.process.pid)
-                    w.stats["respawns"] += 1
-                    self._spawn(w)
-            if pids:
-                _tp.sweep_orphans(pids)
-            return len(pids)
+            dead = [w for w in self._workers if not w.process.is_alive()]
+            for w in dead:
+                w.stats["respawns"] += 1
+                self._spawn(w)
+            return len(dead)
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -383,9 +390,9 @@ class ShardExecutor:
         counters are monotone, a concurrent batch at worst under-reports.
         ``busy_s`` measures dispatch-to-collection wall time per span;
         spans on the same worker overlap when ``shards > n_workers``, so it
-        is an upper bound on the worker's actual busy time.  ``segments``
-        reports the transport ledger: segments created/adopted/live and
-        batch bytes shipped by reference.
+        is an upper bound on the worker's actual busy time.
+        ``segments["bytes_shipped"]`` repeats the aggregate ``bytes_shipped``
+        under the key the benchmark reads.
         """
         from ..obs.export import aggregate_worker_metrics
 
@@ -398,16 +405,11 @@ class ShardExecutor:
             d.update(w.stats)
             d["busy_s"] = round(d["busy_s"], 6)
             workers.append(d)
+        aggregate = aggregate_worker_metrics(workers)
         return {
             "workers": workers,
-            "aggregate": aggregate_worker_metrics(workers),
-            "transport": self.transport,
-            "segments": {
-                "created": self._ledger.created,
-                "adopted": self._ledger.adopted,
-                "live": len(self._ledger.live()),
-                "bytes_shipped": self._ledger.bytes_shipped,
-            },
+            "aggregate": aggregate,
+            "segments": {"bytes_shipped": aggregate["bytes_shipped"]},
         }
 
     # -- dispatch ------------------------------------------------------------
@@ -485,39 +487,26 @@ class ShardExecutor:
                     # task on this (still-alive) worker: drop and keep waiting
             return total
 
-    def _send(
-        self,
-        worker: _Worker,
-        task_id,
-        shard_idx,
-        key,
-        blob,
-        digest,
-        payload,
-        count,
-        max_steps,
-        backend,
-        force_blob: bool = False,
-    ) -> bool:
-        """Dispatch one span; True when this was a digest-only cold send.
+    def _send(self, task: _Task, shard_idx: int, span: _Span, force_blob: bool = False) -> None:
+        """Dispatch one span to its worker.
 
         A cold key normally ships the pickled program; with a compile cache
         configured the send is *optimistic* — digest only — and the worker
         warms from disk (``force_blob`` overrides after a ``need_prog``).
         """
+        worker = span.worker
         ship = None
-        optimistic = False
-        if key not in worker.shipped:
-            if digest is not None and not force_blob:
-                optimistic = True
+        if task.key not in worker.shipped:
+            if task.digest is not None and not force_blob:
+                span.optimistic = True
             else:
-                ship = blob
-            worker.mark_shipped(key)
+                ship = task.blob
+            worker.mark_shipped(task.key)
+        worker.stats["bytes_shipped"] += _frame_bytes(span.payload[1])
         worker.in_q.put(
-            (_KIND_SPAN, task_id, shard_idx, key, ship, digest, payload, count,
-             max_steps, backend)
+            (_KIND_SPAN, task.id, shard_idx, task.key, ship, task.digest, span.payload,
+             len(span.chunk), task.max_steps, task.backend)
         )
-        return optimistic
 
     def run_batch(
         self,
@@ -566,53 +555,22 @@ class ShardExecutor:
             # otherwise read the same wire key, aliasing worker cache slots
             key, blob, digest = self._blob_for(prog)
             self._task_counter += 1
-            task_id = self._task_counter
-
-            kind = self.transport
-            seg_name = None
-            bases = None
-            active = sum(1 for _, length in spans if length > 0)
-            if kind == TRANSPORT_SHM:
-                try:
-                    # one segment per batch, one reference per dispatched span
-                    seg_name, bases = _tp.pack_fields(self._ledger, fields, active)
-                except OSError:
-                    kind = TRANSPORT_OOB  # shm ran dry: this batch ships by value
-
-            assignment = {}  # shard_idx -> (worker, offset, chunk)
-            payloads = {}  # shard_idx -> wire payload (kept for resends)
-            sent_at = {}  # shard_idx -> dispatch perf_counter (worker busy_s)
-            optimistic = set()  # shards sent digest-only (cache_warm on OK)
-            done: dict[int, list] = {}
+            task = _Task(prog, self._task_counter, key, blob, digest, max_steps, backend)
             for shard_idx, (off, length) in enumerate(spans):
                 if length == 0:
-                    done[shard_idx] = []  # nothing to run: never dispatched
+                    task.done[shard_idx] = []  # nothing to run: never dispatched
                     continue
                 worker = self._workers[shard_idx % self.n_workers]
-                chunk = values[off : off + length]
-                views = span_views[shard_idx]
-                if kind == TRANSPORT_SHM:
-                    payload = (kind, seg_name, _tp.span_descriptor(views, fields, bases))
-                else:
-                    payload = (kind, *_tp.pack_oob(views))
-                assignment[shard_idx] = (worker, off, chunk)
-                payloads[shard_idx] = payload
-                sent_at[shard_idx] = time.perf_counter()
-                if self._send(
-                    worker, task_id, shard_idx, key, blob, digest, payload,
-                    length, max_steps, backend,
-                ):
-                    optimistic.add(shard_idx)
-            self._collect(
-                prog, task_id, key, blob, digest, assignment, payloads, sent_at,
-                optimistic, max_steps, backend, seg_name, done,
-            )
+                span = _Span(worker, values[off : off + length], pack_oob(span_views[shard_idx]))
+                task.pending[shard_idx] = span
+                self._send(task, shard_idx, span)
+            self._collect(task)
 
         out: list = []
         first_error: Optional[BatchError] = None
         for shard_idx in range(len(spans)):
             off = spans[shard_idx][0]
-            for local_idx, res in enumerate(done[shard_idx]):
+            for res in task.done[shard_idx]:
                 if isinstance(res, BatchError):
                     res = res.rebased(off)
                     if first_error is None or res.index < first_error.index:
@@ -622,114 +580,23 @@ class ShardExecutor:
             raise first_error
         return out
 
-    def _collect(
-        self, prog, task_id, key, blob, digest, assignment, payloads, sent_at,
-        optimistic, max_steps, backend, seg_name, done,
-    ) -> None:
-        """Gather one result per assigned shard, surviving worker deaths.
+    def _collect(self, task: _Task) -> None:
+        """Gather one result per pending span, surviving worker deaths.
 
-        Drains every waiting worker's own result queue with non-blocking
-        reads, then blocks on a ``connection.wait`` select over the queue
-        pipes until something arrives.  A queue is **never** read once its
+        Each round drains every waiting worker's own result queue with
+        non-blocking reads, then either reclaims the spans of workers seen
+        dead or, when nothing arrived, blocks on a ``connection.wait``
+        select over the queue pipes.  A queue is **never** read once its
         worker is seen dead — a kill mid-``put()`` leaves a partial frame
-        that ``poll()`` reports readable but a read would block on forever;
-        the dead worker's spans are recomputed in-parent, its segment
-        references released, and a replacement spawned on fresh pipes.
+        that ``poll()`` reports readable but a read would block on forever.
         """
-        pending = set(assignment)
-        # workers whose blob resend is already in flight for this task: a
-        # second need_prog from the same worker (a later span dispatched
-        # before the blob arrived) must not re-count the miss or ship the
-        # blob again — FIFO guarantees the earlier resend lands first
-        resent: set[int] = set()
-
-        def complete(shard_idx: int) -> None:
-            pending.discard(shard_idx)
-            self._ledger.release(seg_name)
-
-        def recompute(shard_idx: int) -> None:
-            chunk = assignment[shard_idx][2]
-            done[shard_idx] = prog.run_batch(
-                chunk, max_steps=max_steps, return_exceptions=True, backend=backend
-            )
-            complete(shard_idx)
-
-        def handle(msg) -> None:
-            rid, shard_idx, status, payload = msg
-            if rid != task_id or shard_idx not in pending:
-                return  # stale result from an abandoned task
-            worker = assignment[shard_idx][0]
-            if status == _STATUS_NEED_PROG:
-                # worker-cache eviction, or the optimistic digest-only send
-                # missed the worker's on-disk store (e.g. LRU-evicted
-                # between send and read): resend — with the blob exactly
-                # once per worker per task
-                wid = id(worker)
-                if wid not in resent:
-                    worker.shipped.pop(key, None)
-                    worker.stats["need_prog"] += 1
-                    resent.add(wid)
-                optimistic.discard(shard_idx)
-                self._send(
-                    worker, task_id, shard_idx, key, blob, digest,
-                    payloads[shard_idx], len(assignment[shard_idx][2]),
-                    max_steps, backend, force_blob=True,
-                )
-                return
-            if status == _STATUS_ERROR:
-                # infrastructure failure inside the worker (not an input
-                # trap — those come back as in-slot BatchErrors): recompute
-                # the span in-process so the caller still gets exact results
-                recompute(shard_idx)
-                worker.stats["errors"] += 1
-                worker.stats["fallback_spans"] += 1
-                return
-            chunk = assignment[shard_idx][2]
-            if status == _STATUS_OK:
-                done[shard_idx] = payload
-            else:
-                # outputs shipped by reference: adopt/unpack and decode the
-                # flat fields back to S-objects — the only decode that ever
-                # happens, and it happens exactly once, parent-side
-                try:
-                    if status == _STATUS_OK_SHM:
-                        name, desc, count = payload
-                        try:
-                            views = _tp.adopt_views(self._ledger, name, desc)
-                            done[shard_idx] = prog.decode_batch_fields(views, count)
-                        finally:
-                            self._ledger.release(name)
-                    else:  # _STATUS_OK_OOB
-                        meta, frames, count = payload
-                        views = _tp.unpack_oob(meta, frames)
-                        done[shard_idx] = prog.decode_batch_fields(views, count)
-                except Exception:
-                    # a torn result (e.g. the segment vanished under us) is
-                    # an infrastructure failure, not a caller-visible one
-                    recompute(shard_idx)
-                    worker.stats["errors"] += 1
-                    worker.stats["fallback_spans"] += 1
-                    return
-            complete(shard_idx)
-            worker.stats["spans"] += 1
-            worker.stats["items"] += len(chunk)
-            worker.stats["busy_s"] += time.perf_counter() - sent_at[shard_idx]
-            if shard_idx in optimistic:
-                # the digest-only cold send completed without a need_prog
-                # round-trip: the worker warmed this program from the cache
-                optimistic.discard(shard_idx)
-                worker.stats["cache_warm"] += 1
-
-        while pending:
+        while task.pending:
             waiting: list[_Worker] = []
-            seen: set[int] = set()
-            for s in sorted(pending):
-                w = assignment[s][0]
-                if id(w) not in seen:
-                    seen.add(id(w))
-                    waiting.append(w)
-            progressed = False
+            for _, span in sorted(task.pending.items()):
+                if span.worker not in waiting:
+                    waiting.append(span.worker)
             dead: list[_Worker] = []
+            progressed = False
             for w in waiting:
                 if not w.process.is_alive():
                     dead.append(w)  # never read a dead worker's queue
@@ -742,38 +609,78 @@ class ShardExecutor:
                     except (OSError, EOFError):  # broken pipe: treat as dead
                         dead.append(w)
                         break
-                    handle(msg)
+                    self._handle(task, msg)
                     progressed = True
-            if not pending:
+            if not task.pending:
                 break
             if dead:
                 # reclaim EVERY pending span of every dead worker before
-                # respawning (a replacement passes the is_alive() check but
-                # reads fresh queues, so unreclaimed spans would hang), then
-                # sweep result segments the dead process may have orphaned
-                dead_ids = {id(w) for w in dead}
-                for shard_idx in sorted(pending):
-                    worker = assignment[shard_idx][0]
-                    if id(worker) in dead_ids:
-                        recompute(shard_idx)
-                        worker.stats["fallback_spans"] += 1
-                pids = [w.process.pid for w in dead if w.process.pid is not None]
+                # respawning: a replacement passes the is_alive() check but
+                # reads fresh queues, so an unreclaimed span would hang
+                for shard_idx in sorted(task.pending):
+                    if task.pending[shard_idx].worker in dead:
+                        task.recompute(shard_idx)
                 for w in dead:
                     w.stats["respawns"] += 1
                     self._spawn(w)
-                _tp.sweep_orphans(pids)
-                continue
-            if progressed:
-                continue
-            # nothing ready anywhere: block on a select over the live
-            # workers' queue pipes (or time out and re-check liveness)
-            readers = [
-                w.out_q._reader for w in waiting if hasattr(w.out_q, "_reader")
-            ]
-            if readers:
-                try:
-                    mp_connection.wait(readers, timeout=0.25)
-                except OSError:
+            elif not progressed:
+                # nothing ready anywhere: block on a select over the live
+                # workers' queue pipes (or time out and re-check liveness)
+                readers = [w.out_q._reader for w in waiting if hasattr(w.out_q, "_reader")]
+                if readers:
+                    try:
+                        mp_connection.wait(readers, timeout=0.25)
+                    except OSError:
+                        time.sleep(0.05)
+                else:  # pragma: no cover - exotic Queue implementation
                     time.sleep(0.05)
-            else:  # pragma: no cover - exotic Queue implementation
-                time.sleep(0.05)
+
+    def _handle(self, task: _Task, msg) -> None:
+        """Apply one worker reply to the task: resend, recompute or complete a span."""
+        rid, shard_idx, status, payload = msg
+        span = task.pending.get(shard_idx)
+        if rid != task.id or span is None:
+            return  # stale result from an abandoned task
+        worker = span.worker
+        if status == _STATUS_NEED_PROG:
+            # worker-cache eviction, or the optimistic digest-only send
+            # missed the worker's on-disk store (e.g. LRU-evicted between
+            # send and read): resend — with the blob exactly once per
+            # worker per task
+            if id(worker) not in task.resent:
+                worker.shipped.pop(task.key, None)
+                worker.stats["need_prog"] += 1
+                task.resent.add(id(worker))
+            span.optimistic = False
+            self._send(task, shard_idx, span, force_blob=True)
+            return
+        if status == _STATUS_REGISTERS:
+            # the output registers: unpack and decode the flat fields back
+            # to S-objects — the only decode that ever happens, and it
+            # happens exactly once, parent-side
+            meta, frames, count = payload
+            worker.stats["bytes_shipped"] += _frame_bytes(frames)
+            try:
+                result = task.prog.decode_batch_fields(unpack_oob(meta, frames), count)
+            except Exception:
+                # a torn result is an infrastructure failure, not a
+                # caller-visible one
+                status = _STATUS_ERROR
+        else:
+            result = payload
+        if status == _STATUS_ERROR:
+            # infrastructure failure (not an input trap — those come back
+            # as in-slot BatchErrors): recompute the span in-process so the
+            # caller still gets exact results
+            task.recompute(shard_idx)
+            worker.stats["errors"] += 1
+            return
+        del task.pending[shard_idx]
+        task.done[shard_idx] = result
+        worker.stats["spans"] += 1
+        worker.stats["items"] += len(span.chunk)
+        worker.stats["busy_s"] += time.perf_counter() - span.sent_at
+        if span.optimistic:
+            # the digest-only cold send completed without a need_prog
+            # round-trip: the worker warmed this program from the cache
+            worker.stats["cache_warm"] += 1

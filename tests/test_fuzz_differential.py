@@ -13,12 +13,11 @@ record):
 * the ``plain`` column — the same inputs as plain Python data, which the
   front door encodes per field with no S-object built (typed ingest):
   ``run`` (value, ``T'``, ``W'`` or trap text), ``run_batch`` in-process and
-  through the ``shm`` executor must equal the ``from_python`` column slot
+  through the shard executor must equal the ``from_python`` column slot
   for slot, trap index and cause included;
 * the multi-core shard path (:class:`repro.serving.ShardExecutor`, two
-  workers) with global trap-index attribution — over **both** zero-copy
-  transports (``shm`` shared-memory views and the ``oob`` pickle-5
-  out-of-band fallback; see :mod:`repro.serving.transport`).
+  workers, spans as pickle-5 out-of-band frames; see
+  :mod:`repro.serving.transport`) with global trap-index attribution.
 
 Tier-1 runs ``FUZZ_CASES`` (default 200) cases under the fixed
 ``FUZZ_SEED``; the nightly CI job raises ``FUZZ_CASES`` to 2000.  Cases are
@@ -91,7 +90,7 @@ def _exact_slot(res):
     return ("trap", res.index, res.cause_text) if isinstance(res, BatchError) else ("value", res)
 
 
-def _check_case(case, executor, oob_executor) -> list[str]:
+def _check_case(case, executor) -> list[str]:
     """All divergence descriptions for one case (empty = the case passes)."""
     fn = case.fn
     prog0 = compile_nsc(fn, opt_level=0)
@@ -129,17 +128,12 @@ def _check_case(case, executor, oob_executor) -> list[str]:
             f"batched run silently fell back: {prog2._batch_fallback_error}"
         )
 
-    by_engine = {"run_batch": batched}
-    for engine, ex in (("sharded/shm", executor), ("sharded/oob", oob_executor)):
-        sharded = by_engine[engine] = ex.run_batch(
-            prog2, values, shards=2, return_exceptions=True
-        )
-        for i, res in enumerate(sharded):
-            expect(engine, i, _slot_outcome(res))
-            if isinstance(res, BatchError) and res.index != i:
-                problems.append(
-                    f"{engine} trap at slot {i} carries global index {res.index}"
-                )
+    sharded = executor.run_batch(prog2, values, shards=2, return_exceptions=True)
+    for i, res in enumerate(sharded):
+        expect("sharded", i, _slot_outcome(res))
+        if isinstance(res, BatchError) and res.index != i:
+            problems.append(f"sharded trap at slot {i} carries global index {res.index}")
+    by_engine = {"run_batch": batched, "sharded": sharded}
 
     # the plain column: typed ingest against tree ingest, same engine
     plain = list(case.inputs)
@@ -148,7 +142,7 @@ def _check_case(case, executor, oob_executor) -> list[str]:
             problems.append(f"plain run diverges from the from_python run on input {i}")
     for engine, got in (
         ("run_batch", prog2.run_batch(plain, return_exceptions=True)),
-        ("sharded/shm", executor.run_batch(prog2, plain, shards=2, return_exceptions=True)),
+        ("sharded", executor.run_batch(prog2, plain, shards=2, return_exceptions=True)),
     ):
         if list(map(_exact_slot, got)) != list(map(_exact_slot, by_engine[engine])):
             problems.append(f"plain {engine} diverges from the from_python column")
@@ -157,28 +151,19 @@ def _check_case(case, executor, oob_executor) -> list[str]:
 
 @pytest.fixture(scope="module")
 def shard_executor():
-    ex = ShardExecutor(n_workers=2, transport="shm")
-    yield ex
-    assert ex._ledger.live() == [], "shm segments leaked across fuzz cases"
-    ex.close()
-    assert ex.leaked_segments == []
-
-
-@pytest.fixture(scope="module")
-def oob_executor():
-    ex = ShardExecutor(n_workers=2, transport="oob")
+    ex = ShardExecutor(n_workers=2)
     yield ex
     ex.close()
 
 
 @pytest.mark.parametrize("chunk", range(N_CHUNKS))
-def test_fuzz_differential(chunk, shard_executor, oob_executor):
+def test_fuzz_differential(chunk, shard_executor):
     failures = []
     for i in range(chunk, N_CASES, N_CHUNKS):
         seed = BASE_SEED + i
         try:
             case = gen_case(seed)
-            problems = _check_case(case, shard_executor, oob_executor)
+            problems = _check_case(case, shard_executor)
         except Exception as e:  # CompileError, encoder crash, ...: all bugs
             problems = [f"engine crash: {type(e).__name__}: {e}"]
         if problems:

@@ -11,19 +11,23 @@ appears when ``shards`` exceeds the batch size.
 
 from __future__ import annotations
 
-import errno
+import multiprocessing
+import pickle
 import time
 
+import numpy as np
 import pytest
 
 from fuzz_gen import too_deep
 from repro.cache.store import CompileCache
 from repro.compiler import BatchError, compile_nsc
-from repro.compiler.batch import split_shards
+from repro.compiler.batch import run_batch_fields, split_shards
 from repro.nsc import builder as B
 from repro.nsc.types import NAT, SeqType
 from repro.nsc.values import from_python
+from repro.obs.export import render_shard_prometheus
 from repro.serving import ShardExecutor, ShardExecutorClosed
+from repro.serving import shard as shard_mod
 from repro.serving import transport as _tp
 
 
@@ -221,12 +225,11 @@ def test_survives_worker_death(executor, get_prog):
     assert executor.run_batch(get_prog, batch, shards=2) == expected
 
 
-# -- zero-copy transports -----------------------------------------------------
+# -- the wire format ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", _tp.TRANSPORTS)
-def test_transports_agree_including_traps(transport, get_prog):
-    ex = ShardExecutor(n_workers=2, transport=transport)
+def test_wire_format_keeps_values_and_traps(get_prog):
+    ex = ShardExecutor(n_workers=2)
     try:
         batch = [[i] for i in range(8)]
         batch[3] = []  # traps in an interior shard
@@ -239,7 +242,6 @@ def test_transports_agree_including_traps(transport, get_prog):
         with pytest.raises(BatchError) as ei:
             ex.run_batch(get_prog, batch, shards=4)
         assert ei.value.index == 3
-        assert ex._ledger.live() == []  # no batch leaves a live segment
     finally:
         ex.close()
     assert ex.leaked_segments == []
@@ -250,14 +252,13 @@ def test_transports_agree_including_traps(transport, get_prog):
 UNENCODABLE = [[2**63, 1], [-1, 3], [[1], 2], too_deep()]
 
 
-@pytest.mark.parametrize("transport", _tp.TRANSPORTS)
 @pytest.mark.parametrize(
     "bad", UNENCODABLE, ids=["too_wide", "negative", "wrong_shape", "too_deep"]
 )
-def test_unencodable_request_fails_alone(transport, bad):
+def test_unencodable_request_fails_alone(bad):
     prog = compile_nsc(_affine_fn())
     batch = [[1, 2, 3], bad, [4, 5, 6], [7]]
-    ex = ShardExecutor(n_workers=2, transport=transport)
+    ex = ShardExecutor(n_workers=2)
     try:
         results = ex.run_batch(prog, batch, shards=2, return_exceptions=True)
         assert isinstance(results[1], BatchError) and results[1].index == 1
@@ -269,69 +270,10 @@ def test_unencodable_request_fails_alone(transport, bad):
         with pytest.raises(type(ei.value)):
             prog.run(bad)
         assert not isinstance(ei.value, BatchError)
-        assert ex._ledger.live() == []
         # a caller error is not an infrastructure failure
         assert sum(w.stats["errors"] + w.stats["fallback_spans"] for w in ex._workers) == 0
     finally:
         ex.close()
-    assert ex.leaked_segments == []
-
-
-@pytest.mark.skipif(not _tp.shm_available(), reason="no shared memory here")
-def test_shm_exhaustion_falls_back_for_one_batch(get_prog, monkeypatch):
-    # injected fault: the batch segment cannot be created (ENOSPC on
-    # /dev/shm); that batch ships by value, nothing leaks, the next is shm again
-    batch = [[i] for i in range(8)]
-    batch[3] = []  # and traps still land on their global index
-    expected = get_prog.run_batch(batch, return_exceptions=True)
-    real_pack = _tp.pack_fields
-    calls = []
-
-    def full_once(ledger, fields, refs):
-        calls.append(refs)
-        if len(calls) == 1:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return real_pack(ledger, fields, refs)
-
-    monkeypatch.setattr(_tp, "pack_fields", full_once)
-    ex = ShardExecutor(n_workers=2, transport="shm")
-    try:
-        for _ in range(2):
-            results = ex.run_batch(get_prog, batch, shards=4, return_exceptions=True)
-            assert [type(r) for r in results] == [type(r) for r in expected]
-            assert [r.index for r in results if isinstance(r, BatchError)] == [3]
-            assert [r for r in results if not isinstance(r, BatchError)] == [
-                r for r in expected if not isinstance(r, BatchError)
-            ]
-            assert ex._ledger.live() == []
-        assert len(calls) == 2
-        assert ex.transport == "shm"
-        assert ex._ledger.created == 1  # only the second batch got a segment
-        # a programming error in segment creation is not served by the fallback
-        monkeypatch.setattr(
-            _tp, "pack_fields", lambda *a: (_ for _ in ()).throw(KeyError("bug"))
-        )
-        with pytest.raises(KeyError):
-            ex.run_batch(get_prog, batch, shards=4)
-    finally:
-        ex.close()
-    assert ex.leaked_segments == []
-
-
-@pytest.mark.skipif(not _tp.shm_available(), reason="no shared memory here")
-def test_shm_segments_released_on_close(get_prog):
-    # the leak check the ISSUE demands: after any mix of clean batches,
-    # traps and a worker death, close() finds nothing still referenced
-    ex = ShardExecutor(n_workers=2, transport="shm")
-    batch = [[i] for i in range(12)]
-    ex.run_batch(get_prog, batch, shards=3)
-    batch[5] = []
-    ex.run_batch(get_prog, batch, shards=3, return_exceptions=True)
-    ex._workers[0].process.terminate()
-    ex._workers[0].process.join(timeout=5)
-    ex.run_batch(get_prog, batch, shards=3, return_exceptions=True)
-    assert ex._ledger.live() == []
-    ex.close()
     assert ex.leaked_segments == []
 
 
@@ -344,7 +286,7 @@ def test_kill_during_result_put_does_not_wedge():
     # mid-write, then prove the executor still serves.
     from repro.serving.shard import _KIND_SPAN
 
-    ex = ShardExecutor(n_workers=2, transport="oob")
+    ex = ShardExecutor(n_workers=2)
     try:
         prog = compile_nsc(_affine_fn())
         key, blob, _digest = ex._blob_for(prog)
@@ -352,7 +294,7 @@ def test_kill_during_result_put_does_not_wedge():
         # the result's out-of-band frames (~480 KB) cross the same pipe
         big = prog.encode_batch_fields([from_python(list(range(60_000)))])
         victim.in_q.put(
-            (_KIND_SPAN, 10**9, 0, key, blob, None, ("oob", *_tp.pack_oob(big)), 1,
+            (_KIND_SPAN, 10**9, 0, key, blob, None, _tp.pack_oob(big), 1,
              10_000_000, None)
         )
         time.sleep(1.0)  # let the worker compute and block writing the result
@@ -365,6 +307,122 @@ def test_kill_during_result_put_does_not_wedge():
         assert ex.run_batch(prog, batch, shards=2) == expected
     finally:
         ex.close()
+
+
+def _exact(res):
+    """A result slot including *which* trap, for comparing two runs of one program."""
+    return ("trap", res.index, res.cause_text) if isinstance(res, BatchError) else ("value", res)
+
+
+def test_bytes_shipped_counts_frames_both_ways():
+    # the frames out (each span's input field slices) plus the frames back
+    # (each span's output registers), 8 bytes an element, nothing else
+    prog = compile_nsc(_affine_fn())
+    batch = [[1, 2, 3], [4, 5], [6], [7, 8, 9], []]
+    spans = split_shards(len(batch), 2)
+    fields = [np.asarray(f, dtype=np.int64) for f in prog.encode_batch_fields(batch)]
+    views = prog.split_batch_fields(fields, spans)
+    n_in = n_out = 0
+    for (_, length), span_views in zip(spans, views):
+        n_in += sum(v.size for v in span_views)
+        tag, regs = run_batch_fields(prog, span_views, length)
+        assert tag == "registers"
+        n_out += sum(np.asarray(r).size for r in regs)
+    with ShardExecutor(n_workers=1, cache=None) as ex:  # no need_prog resend to count
+        assert ex.run_batch(prog, batch, shards=2) == prog.run_batch(batch)
+        snap = ex.metrics_snapshot()
+    shipped = 8 * (n_in + n_out)
+    assert snap["aggregate"]["bytes_shipped"] == shipped
+    assert snap["segments"] == {"bytes_shipped": shipped}
+    assert f'repro_shard_bytes_shipped_total{{worker="0"}} {shipped}' in render_shard_prometheus(snap)
+
+
+def test_torn_result_is_recomputed_in_parent(get_prog, monkeypatch):
+    # a result the parent cannot unpack is an infrastructure failure: the
+    # span is recomputed in-process, exactly, and the next batch is clean
+    batch = [[i] for i in range(8)]
+    batch[5] = []  # the second span traps and comes back as values
+    expected = list(map(_exact, get_prog.run_batch(batch, return_exceptions=True)))
+    ex = ShardExecutor(n_workers=2)
+    try:
+        real, calls = shard_mod.unpack_oob, []
+
+        def torn_once(meta, frames):
+            calls.append(len(frames))
+            if len(calls) == 1:
+                raise pickle.UnpicklingError("truncated frame")
+            return real(meta, frames)
+
+        # the workers are already forked: only the parent's reader is torn
+        monkeypatch.setattr(shard_mod, "unpack_oob", torn_once)
+        for _ in range(2):
+            got = ex.run_batch(get_prog, batch, shards=2, return_exceptions=True)
+            assert list(map(_exact, got)) == expected
+            agg = ex.metrics_snapshot()["aggregate"]
+            assert (agg["errors"], agg["fallback_spans"], agg["respawns"]) == (1, 1, 0)
+        assert len(calls) == 2  # one register result per batch reached the parent
+    finally:
+        ex.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the injected fault reaches the workers by fork",
+)
+def test_worker_error_is_recomputed_in_parent(monkeypatch):
+    # a worker-side infrastructure failure (not an input trap) answers with
+    # an error status; the parent recomputes that span, exactly
+    sentinel = compile_nsc(_get_fn())
+    clean = compile_nsc(_affine_fn())
+    real = shard_mod.run_batch_fields
+
+    def failing(prog, *args, **kwargs):
+        if prog.instructions == sentinel.instructions:
+            raise RuntimeError("injected worker fault")
+        return real(prog, *args, **kwargs)
+
+    monkeypatch.setattr(shard_mod, "run_batch_fields", failing)
+    batch = [[i] for i in range(8)]
+    batch[2] = batch[6] = []  # an interior trap in each span
+    expected = list(map(_exact, sentinel.run_batch(batch, return_exceptions=True)))
+    ex = ShardExecutor(n_workers=2)  # forks with the fault in place
+    try:
+        got = ex.run_batch(sentinel, batch, shards=2, return_exceptions=True)
+        assert list(map(_exact, got)) == expected
+        agg = ex.metrics_snapshot()["aggregate"]
+        assert (agg["errors"], agg["fallback_spans"], agg["respawns"]) == (2, 2, 0)
+        values = [[1, 2], [3], [4, 5, 6], [7]]
+        assert ex.run_batch(clean, values, shards=2) == clean.run_batch(values)
+        agg = ex.metrics_snapshot()["aggregate"]
+        assert (agg["errors"], agg["fallback_spans"], agg["respawns"]) == (2, 2, 0)
+    finally:
+        ex.close()
+
+
+def test_spawn_workers_keep_traps_and_the_pinned_cache(tmp_path, monkeypatch):
+    # where the platform has no fork, workers are spawned: they import
+    # everything afresh and see only what their arguments carry
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    prog = compile_nsc(_get_fn(), cache=None)
+    batch = [[i] for i in range(8)]
+    batch[3] = []  # traps in an interior span
+    expected = list(map(_exact, prog.run_batch(batch, return_exceptions=True)))
+    bogus = tmp_path / "bogus-env-cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(bogus))
+    ex = ShardExecutor(n_workers=1, cache=CompileCache(str(tmp_path / "pinned")))
+    try:
+        assert ex._ctx.get_start_method() == "spawn"
+        assert ex.warm([prog]) == 1
+        got = ex.run_batch(prog, batch, shards=4, return_exceptions=True)
+        assert list(map(_exact, got)) == expected
+        with pytest.raises(BatchError) as ei:
+            ex.run_batch(prog, batch, shards=4)
+        assert ei.value.index == 3
+        stats = ex._workers[0].stats
+        assert (stats["cache_warm"], stats["need_prog"], stats["errors"]) == (1, 0, 0)
+    finally:
+        ex.close()
+    assert not bogus.exists(), "a worker read REPRO_CACHE_DIR from its environment"
 
 
 # -- compile-cache cold sends -------------------------------------------------

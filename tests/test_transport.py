@@ -1,21 +1,17 @@
-"""The zero-copy span transport: codecs, segment lifecycle, leak checks.
+"""The span transport: the type-directed slicer and the wire codec.
 
-Three layers under test, bottom up:
+Two layers under test, bottom up:
 
 * ``split_batch`` (:mod:`repro.compiler.codegen`) — the type-directed span
   slicer.  The pinned property: for every span, the slice *views* equal the
   fresh encoding of exactly those values (``encode_batch(vals[off:off+ln])``)
   while sharing memory with the parent encoding — no copy, no re-encode.
-* the shm codec (:mod:`repro.serving.transport`) — fields packed into one
-  segment round-trip through ``span_descriptor``/``attach_span`` unchanged,
-  worker views are read-only, result registers adopt back losslessly.
-* :class:`SegmentLedger` — refcounted unlink-at-zero, and ``close()`` as a
-  leak *detector*: anything still referenced is force-released and named.
+* the pickle-5 out-of-band codec (:mod:`repro.serving.transport`) — field
+  vectors round-trip unchanged, and what the receiver gets are read-only
+  views over the frames it was sent, not copies.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -23,6 +19,7 @@ import pytest
 from repro.compiler.codegen import encode_batch, decode_batch, split_batch
 from repro.nsc.types import NAT, ProdType, SeqType, SumType
 from repro.nsc.values import VInl, VInr, VSeq, from_python, to_python
+from repro.serving import ShardExecutor
 from repro.serving import transport as tp
 
 
@@ -101,86 +98,15 @@ def test_split_batch_views_share_memory():
 
 # -- transport resolution -----------------------------------------------------
 
-def test_resolve_transport(monkeypatch):
-    assert tp.TRANSPORTS == ("shm", "oob")
-    assert tp.resolve_transport("oob") == "oob"
-    best = "shm" if tp.shm_available() else "oob"
-    assert tp.resolve_transport(None) == tp.resolve_transport("shm") == best
-    monkeypatch.setattr(tp, "_shm_probe", False)  # a platform without shm
-    assert tp.resolve_transport(None) == tp.resolve_transport("shm") == "oob"
-    for gone in ("pickle", "auto", "carrier-pigeon"):
+def test_resolve_transport():
+    assert tp.TRANSPORTS == ("oob",)
+    for gone in ("shm", "pickle", "auto", "carrier-pigeon"):
         with pytest.raises(ValueError):
-            tp.resolve_transport(gone)
-
-
-# -- shm codec ----------------------------------------------------------------
-
-needs_shm = pytest.mark.skipif(
-    not tp.shm_available(), reason="no shared memory on this platform"
-)
-
-
-@needs_shm
-def test_shm_roundtrip_fields_and_registers():
-    ledger = tp.SegmentLedger()
-    t = SeqType(NAT)
-    pyvals = [[1, 2], [3], [], [4, 5, 6], [7]]
-    fields = _encode(pyvals, t)
-    spans = [(0, 3), (3, 2)]
-    per_span = split_batch(fields, t, spans)
-
-    name, bases = tp.pack_fields(ledger, fields, refs=len(spans))
-    assert name is not None and ledger.live() == [name]
-
-    for (off, ln), views in zip(spans, per_span):
-        desc = tp.span_descriptor(views, fields, bases)
-        seg, got = tp.attach_span(name, desc)
-        try:
-            for g, v in zip(got, views):
-                assert np.array_equal(g, v)
-                assert not g.flags.writeable  # sibling-span protection
-        finally:
-            if seg is not None:
-                seg.close()
-        ledger.release(name)
-    assert ledger.live() == []  # refcount hit zero -> unlinked
-
-    # result leg: worker-side pack, parent-side adopt
-    regs = [np.arange(6, dtype=np.int64), np.array([], dtype=np.int64)]
-    rname, rdesc = tp.pack_registers(regs)
-    got = tp.adopt_views(ledger, rname, rdesc)
-    for g, r in zip(got, regs):
-        assert np.array_equal(g, r)
-    ledger.release(rname)
-    assert ledger.live() == []
-    assert ledger.close() == []
-
-
-@needs_shm
-def test_empty_encoding_needs_no_segment():
-    ledger = tp.SegmentLedger()
-    name, bases = tp.pack_fields(ledger, [np.array([], dtype=np.int64)], refs=1)
-    assert name is None and bases == [0]
-    assert ledger.live() == []
-    assert tp.adopt_views(ledger, None, [(0, 0)])[0].size == 0
-
-
-@needs_shm
-def test_ledger_leak_detection_and_sweep():
-    ledger = tp.SegmentLedger()
-    seg = ledger.create(64, refs=2)
-    ledger.release(seg.name)  # one of two refs: still live
-    assert ledger.live() == [seg.name]
-    leaked = ledger.close()
-    assert leaked == [seg.name]
-    assert not os.path.exists(f"/dev/shm/{seg.name}")  # force-released anyway
-
-    # orphan sweep: a segment whose creator (this pid) is "dead"
-    orphan = tp._create_named(64)
-    orphan.close()
-    removed = tp.sweep_orphans([os.getpid()])
-    assert orphan.name in removed
-    assert not os.path.exists(f"/dev/shm/{orphan.name}")
+            ShardExecutor(n_workers=1, transport=gone)
+    for name in (None, "oob"):
+        with ShardExecutor(n_workers=1, transport=name) as ex:
+            assert ex.leaked_segments is None
+        assert ex.leaked_segments == []
 
 
 # -- pickle-5 out-of-band codec ----------------------------------------------
@@ -197,5 +123,12 @@ def test_oob_roundtrip():
     assert sum(len(f) for f in frames) == (10 + 23) * 8
     got = tp.unpack_oob(meta, frames)
     assert len(got) == len(arrays)
+    frame_views = [np.frombuffer(f, dtype=np.int64) for f in frames]
     for g, a in zip(got, arrays):
         assert np.array_equal(g, a)
+        if g.size:
+            # zero-copy and read-only: the protection between sibling spans
+            assert not g.flags.writeable
+            assert any(np.shares_memory(g, fv) for fv in frame_views)
+            with pytest.raises(ValueError):
+                g[0] = -1
