@@ -55,11 +55,6 @@ def indexsplit(c: Sequence, positions: Sequence[int]) -> list[list]:
     return out
 
 
-def apply_permutation_gather(values: Sequence[int], perm: Sequence[int]) -> list[int]:
-    """``out[i] = values[perm[i]]`` — the gather-style permutation of E7."""
-    return [values[p] for p in perm]
-
-
 def bm_route(data: Sequence, counts: Sequence[int]) -> list:
     """Replicate ``data[i]`` exactly ``counts[i]`` times (bounded monotone routing)."""
     out = []

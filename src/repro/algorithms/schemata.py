@@ -34,11 +34,6 @@ def _length_at_most(k: int) -> A.Lambda:
     return B.lam(x, NSEQ, B.le(B.length_(B.v(x)), k))
 
 
-def _identity_seq() -> A.Lambda:
-    x = B.gensym("x")
-    return B.lam(x, NSEQ, B.v(x))
-
-
 def _sum_base() -> A.Lambda:
     """``[N] -> N``: 0 for the empty sequence, the single element otherwise."""
     x = B.gensym("x")

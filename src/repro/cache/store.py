@@ -41,7 +41,7 @@ import pickle
 import struct
 import tempfile
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
 from ..backends.registry import ForkSafeLock
 
@@ -225,15 +225,6 @@ class CompileCache:
                 pass
             raise
         self._evict()
-
-    def get_or_build(self, key: str, build: Callable[[], object]):
-        """``get(key)`` or ``build()``-then-``put`` — the compile front door."""
-        prog = self.get(key)
-        if prog is not None:
-            return prog
-        prog = build()
-        self.put(key, prog)
-        return prog
 
     def _memoize(self, key: str, prog) -> None:
         self._memo[key] = prog

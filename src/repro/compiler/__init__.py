@@ -62,6 +62,7 @@ import numpy as np
 from ..backends import get_backend
 from ..bvram import BVRAM, RunResult
 from ..bvram.isa import Program
+from ..cache.store import ENV_DEFAULT, default_cache
 from ..nsc import ast as A
 from ..nsc.typecheck import infer_function
 from ..nsc.types import Type
@@ -121,8 +122,8 @@ class CompiledProgram(Program):
     #: run-time caches attached to instances after compilation; they hold
     #: closures (execution plans) and diagnostics that must not — and the
     #: plans *cannot* — cross a pickle boundary.  A shard worker receiving
-    #: the program re-derives them on first use, which is exactly the
-    #: "compiled once per worker" discipline of repro.serving.shard.
+    #: the program re-derives its plans on first use; the batched twin
+    #: ships beside it (see repro.serving.shard), never compiled there.
     _CACHE_ATTRS = (
         "_fast_plan",
         "_fused_plan",
@@ -320,19 +321,13 @@ class CompiledProgram(Program):
         )
 
 
-#: default for ``compile_nsc(cache=...)``: resolve through ``REPRO_CACHE_DIR``
-#: (see :func:`repro.cache.default_cache`); distinct from an explicit ``None``,
-#: which disables caching for the call.
-_CACHE_DEFAULT = object()
-
-
 def compile_nsc(
     fn: A.Function,
     eps: float = 0.5,
     opt_level: int = 2,
     batch_axis: bool = False,
     backend: Optional[str] = None,
-    cache: object = _CACHE_DEFAULT,
+    cache: object = ENV_DEFAULT,
 ) -> CompiledProgram:
     """Compile a (typecheckable) NSC function to an executable BVRAM program.
 
@@ -375,7 +370,9 @@ def compile_nsc(
     ``False`` to bypass caching for this call.  A hit skips every pass and
     returns the stored program — value- and ``T'``/``W'``-identical to a
     fresh compile, because the key covers the canonical AST, every knob
-    above, and the ISA/codegen version salt.
+    above, and the ISA/codegen version salt.  The resolved store (``None``
+    included) is recorded on the program, so its batched twin compiles
+    through the same store and never re-reads the environment.
     """
     if opt_level not in (0, 1, 2):
         raise CompileError(f"opt_level must be 0, 1 or 2, got {opt_level!r}")
@@ -385,16 +382,9 @@ def compile_nsc(
         except ValueError as e:
             raise CompileError(str(e)) from None
 
-    # resolve the cache lazily: repro.cache hashes against this package's
-    # codegen version, so importing it here (post-init) avoids a cycle
-    if cache is _CACHE_DEFAULT:
-        from ..cache.store import default_cache
-
-        store = default_cache()
-    elif not cache:
-        store = None
-    else:
-        store = cache
+    # resolve_cache's rule, inline (one profiled call fewer per compile);
+    # default_cache() is the one reader of the environment
+    store = default_cache() if cache is ENV_DEFAULT else (cache or None)
     if store is not None:
         from ..cache.key import cache_key
 
@@ -466,7 +456,7 @@ def compile_nsc(
     prog.validate()
     if store is not None:
         store.put(key, prog)
-        prog._compile_cache = store
+    prog._compile_cache = store
     return prog
 
 

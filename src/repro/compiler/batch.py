@@ -51,6 +51,7 @@ import numpy as np
 
 from ..backends.registry import ForkSafeLock
 from ..bvram import BVRAM, BVRAMError
+from ..cache.store import ENV_DEFAULT
 from ..nsc.values import Value
 from ..obs.trace import span as _span
 from .nsa import CompileError
@@ -138,18 +139,16 @@ def batched_program(prog: "CompiledProgram") -> Optional["CompiledProgram"]:
             try:
                 # the twin inherits the backend pin, so a vector-pinned
                 # program batch-serves on the vector engine too, and the
-                # compile cache (when the program came through one; an
-                # unpickled program fell back to the environment default),
-                # so a warm server never recompiles twins either
-                from . import _CACHE_DEFAULT
-
+                # store compile_nsc resolved (an unpickled program carries
+                # none and falls back to the environment default), so a
+                # warm server never recompiles twins either
                 twin = compile_nsc(
                     prog.source_fn,
                     eps=prog.eps,
                     opt_level=prog.opt_level,
                     batch_axis=True,
                     backend=prog.backend,
-                    cache=getattr(prog, "_compile_cache", _CACHE_DEFAULT),
+                    cache=getattr(prog, "_compile_cache", ENV_DEFAULT),
                 )
             except CompileError:
                 twin = None

@@ -185,10 +185,5 @@ def type_depth(t: Type) -> int:
     return 0
 
 
-def types_equal(a: Type, b: Type) -> bool:
-    """Structural type equality (dataclass equality already does this)."""
-    return a == b
-
-
 fastpickle.install(Type)
 fastpickle.install(FunType)

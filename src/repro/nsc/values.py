@@ -232,13 +232,6 @@ _INTERN_LIMIT = 4096
 _SMALL_NATS = tuple(VNat(i) for i in range(_INTERN_LIMIT))
 
 
-def cached_nat(n: int) -> VNat:
-    """A (possibly shared) VNat for ``n`` — the fast constructor."""
-    if 0 <= n < _INTERN_LIMIT:
-        return _SMALL_NATS[n]
-    return VNat(n)
-
-
 def nat_batch(values: Sequence[int]) -> list[VNat]:
     """Build many VNats at once, hitting the intern table where possible."""
     small = _SMALL_NATS

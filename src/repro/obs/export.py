@@ -158,8 +158,6 @@ def render_shard_prometheus(shard_snapshot: dict, prefix: str = "repro_shard") -
         "items": "Batch items executed by the worker",
         "errors": "Worker-side infrastructure errors (span recomputed in-parent)",
         "need_prog": "Program re-ships after worker-side cache eviction",
-        "cache_warm": "Cold dispatches the worker served from the compile cache",
-        "warm_loads": "Programs pre-loaded into the worker by cache warm-up",
         "respawns": "Times the worker process was respawned after dying",
         "fallback_spans": "Spans recomputed in-parent after a worker death or error",
         "bytes_shipped": "Out-of-band frame bytes sent to the worker plus received from it",

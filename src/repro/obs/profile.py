@@ -97,10 +97,6 @@ class BlockStat:
     source_line: int = 0  #: 1-based line of ``first`` in the report's listing
     code: str = ""  #: repr of the first covered instruction (truncated)
 
-    @property
-    def n_instructions(self) -> int:
-        return self.last - self.first + 1
-
 
 @dataclass
 class ProfileReport:

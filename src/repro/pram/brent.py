@@ -37,11 +37,6 @@ class ScheduleResult:
     time: int
     work: int
 
-    @property
-    def speedup_bound(self) -> float:
-        """The ideal ``W / cycles`` speedup obtained."""
-        return self.work / self.cycles if self.cycles else float("inf")
-
 
 def schedule_trace(trace: Sequence[TraceEntry], p: int) -> ScheduleResult:
     """Brent-schedule a per-instruction trace on ``p`` processors."""

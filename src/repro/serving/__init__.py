@@ -21,8 +21,9 @@ PR 4) into something a traffic-facing service can sit behind:
   instead of simulated.  The batch is encoded once into its flat ``int64``
   vectors, each span's slices of them ship as pickle-5 out-of-band frames
   (:mod:`repro.serving.transport`, the one wire format), and results return
-  the same way.  :meth:`ShardExecutor.warm` pre-loads worker caches from the compile
-  cache and :meth:`ShardExecutor.respawn_dead` is the pool's health check.
+  the same way.  Each program ships once per worker together with its
+  batched twin, so a worker never compiles;
+  :meth:`ShardExecutor.respawn_dead` is the pool's health check.
 
 * :class:`SLOConfig` / :class:`LaneController` (:mod:`repro.serving.slo`) —
   admission control.  Given a ``target_p99_ms``, each program lane fits
@@ -35,10 +36,9 @@ PR 4) into something a traffic-facing service can sit behind:
 in-process on its executor threads, and a sharded batch is a
 ``prog.run_batch(values, executor=pool)`` call.  There is one process level
 because a second (servers over pools behind a consistent-hash router) never
-beat a single ``Server`` on the benchmark.  Both warm from the
+beat a single ``Server`` on the benchmark.  The server compiles through the
 content-addressed compile cache (:mod:`repro.cache`) when one is
-configured: the server compiles through it, and shard workers read
-artifacts from it instead of being shipped pickled programs.
+configured; shard workers never touch it.
 
 The ``serving.*`` per-layer metrics of ``bench/`` (see ``bench/README.md``)
 measure the layers; the differential fuzz battery

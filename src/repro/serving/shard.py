@@ -9,10 +9,12 @@ and running each span's batched machine on its own core changes nothing
 about any request's semantics.
 
 :class:`ShardExecutor` owns a pool of **persistent** worker processes.  Each
-worker receives a program at most once (pickled without its run-time caches,
-see ``CompiledProgram.__getstate__``), compiles its batched twin and
-execution plans locally on first use, and keeps them in a bounded per-worker
-cache.
+worker receives a program at most once, pickled together with its batched
+twin (both without their run-time caches, see
+``CompiledProgram.__getstate__``), and keeps the pair in a bounded
+per-worker cache.  A worker never compiles: the parent builds the twin, the
+worker derives only its execution plans, and a program without a twin runs
+the per-input fallback loop.
 
 Spans travel in one wire format (:mod:`repro.serving.transport`): the parent
 encodes the batch once into its canonical flat ``int64`` vectors — plain
@@ -25,18 +27,16 @@ exactly once.  A batch the parent cannot encode is the caller's error and
 never reaches a worker: it is answered by in-process ``run_batch``, which
 isolates the malformed request.
 
-When a compile cache is configured (:mod:`repro.cache`, ``REPRO_CACHE_DIR``
-or the ``cache=`` constructor knob), workers **warm from the cache instead
-of being shipped pickled programs**: the executor writes each program's
-envelope into the store once (reusing the very bytes it would have shipped)
-and sends only the content digest; the worker reads the artifact from disk.
-The resolved cache directory *and size bound* are pinned into the worker's
-spawn arguments, and the worker compiles its batched twins through that
-store too, so a worker never re-reads ``REPRO_CACHE_DIR`` /
-``REPRO_CACHE_MAX_MB`` from an environment that may differ from the
-parent's.  The blob-shipping path remains the fallback whenever the store
-misses, so correctness never depends on the cache; :meth:`warm` additionally
-pre-loads a program list into every worker before any traffic arrives.
+A dispatched span ends in exactly one of these ways:
+
+=====================  ===================================================
+worker reply           parent action
+=====================  ===================================================
+registers / values     span done (registers are decoded parent-side)
+``need_prog``          worker LRU evicted the program: resent with the blob
+error, torn result     span recomputed in-parent (``errors``)
+worker dead            span recomputed in-parent, worker respawned
+=====================  ===================================================
 
 Semantics mirror :func:`repro.compiler.batch.run_batch` exactly:
 
@@ -71,8 +71,13 @@ from multiprocessing import connection as mp_connection
 
 import numpy as np
 
-from ..cache.store import ENV_DEFAULT, CompileCache, resolve_cache
-from ..compiler.batch import ENCODE_ERRORS, BatchError, run_batch_fields, split_shards
+from ..compiler.batch import (
+    ENCODE_ERRORS,
+    BatchError,
+    batched_program,
+    run_batch_fields,
+    split_shards,
+)
 from .transport import TRANSPORTS, pack_oob, unpack_oob
 
 #: per-worker program cache bound — old entries are evicted LRU and
@@ -83,10 +88,6 @@ _STATUS_OK = "ok"
 _STATUS_REGISTERS = "registers"
 _STATUS_ERROR = "error"
 _STATUS_NEED_PROG = "need_prog"
-_STATUS_WARM = "warm_ok"
-
-_KIND_SPAN = "span"
-_KIND_WARM = "warm"
 
 
 class ShardExecutorClosed(RuntimeError):
@@ -97,62 +98,30 @@ def _frame_bytes(frames: Sequence[bytes]) -> int:
     return sum(len(f) for f in frames)
 
 
-def _worker_main(in_q, out_q, cache_dir=None, cache_max_bytes=None) -> None:
+def _worker_main(in_q, out_q) -> None:
     """Worker loop: cache programs by key, run batched spans, report results.
 
     Every shard runs with per-input isolation (``return_exceptions=True``
     semantics) so one trapping input cannot poison its shard siblings; the
-    parent decides whether to raise.  With ``cache_dir`` set, a program
-    absent from the in-process cache is first looked up in the on-disk
-    compile cache by its content ``digest`` (the parent wrote the artifact
-    before dispatching); only a disk miss triggers the ``need_prog`` resend
-    round-trip.  The cache location *and* its size bound arrive as spawn
-    arguments — the worker never consults its own environment, which may
-    disagree with the parent's.
+    parent decides whether to raise.  A program arrives as the pickled pair
+    ``(prog, twin)``; pinning the twin means ``batched_program`` never
+    compiles here, whatever this process's environment says.
     """
     cache: OrderedDict[int, object] = OrderedDict()
-    warmed: dict[str, object] = {}  # digest -> program, via "warm" messages
-    store = None
-    if cache_dir:
-        try:
-            store = CompileCache(cache_dir, max_bytes=cache_max_bytes)
-        except Exception:
-            store = None  # an unusable cache degrades to blob shipping
     while True:
         msg = in_q.get()
         if msg is None:
             return
-        if msg[0] == _KIND_WARM:
-            loaded = 0
-            if store is not None:
-                for digest in msg[1]:
-                    try:
-                        prog = store.get(digest)
-                    except Exception:
-                        prog = None
-                    if prog is not None:
-                        warmed[digest] = prog
-                        loaded += 1
-            out_q.put((0, 0, _STATUS_WARM, loaded))
-            continue
-        (_, task_id, shard_idx, key, blob, digest, payload, count, max_steps,
-         backend) = msg
+        task_id, shard_idx, key, blob, payload, count, max_steps, backend = msg
         try:
             prog = cache.get(key)
             if prog is None:
-                if blob is not None:
-                    prog = pickle.loads(blob)
-                elif digest is not None:
-                    prog = warmed.pop(digest, None)
-                    if prog is None and store is not None:
-                        prog = store.get(digest)  # warm path: a cache read
-                if prog is None:
-                    # evicted / never shipped / cache miss: ask for the blob
+                if blob is None:
+                    # evicted from this worker's cache: ask for the blob
                     out_q.put((task_id, shard_idx, _STATUS_NEED_PROG, None))
                     continue
-                # the batched twin compiles through the pinned store, not
-                # through whatever REPRO_CACHE_DIR this process inherited
-                prog._compile_cache = store
+                prog, twin = pickle.loads(blob)
+                prog._batched_twin = twin
                 cache[key] = prog
                 while len(cache) > _WORKER_CACHE_SIZE:
                     cache.popitem(last=False)
@@ -195,19 +164,14 @@ class _Worker:
         self.process = None  # set by ShardExecutor._spawn
         #: parent-side per-worker counters (the worker wire protocol carries
         #: no metrics): spans/items completed, infrastructure errors,
-        #: program re-ships, cold dispatches served from the compile cache
-        #: (digest-only send, no ``need_prog`` came back), programs
-        #: pre-loaded by :meth:`ShardExecutor.warm`, respawns after death,
-        #: spans recomputed in-parent, out-of-band frame bytes sent to the
-        #: worker plus received from it, and busy seconds (span dispatch ->
-        #: collection)
+        #: program re-ships, respawns after death, spans recomputed
+        #: in-parent, out-of-band frame bytes sent to the worker plus
+        #: received from it, and busy seconds (span dispatch -> collection)
         self.stats = {
             "spans": 0,
             "items": 0,
             "errors": 0,
             "need_prog": 0,
-            "cache_warm": 0,
-            "warm_loads": 0,
             "respawns": 0,
             "fallback_spans": 0,
             "bytes_shipped": 0,
@@ -226,22 +190,21 @@ class _Worker:
 class _Span:
     """One dispatched span of a task, kept until its result is in."""
 
-    __slots__ = ("worker", "chunk", "payload", "sent_at", "optimistic")
+    __slots__ = ("worker", "chunk", "payload", "sent_at")
 
     def __init__(self, worker: _Worker, chunk: list, payload) -> None:
         self.worker = worker
         self.chunk = chunk  # the span's requests, for an in-parent recompute
         self.payload = payload  # (meta, frames), kept for a need_prog resend
         self.sent_at = time.perf_counter()
-        self.optimistic = False  # sent digest-only: a cache warm if it completes
 
 
 class _Task:
     """One batch in flight: its program, pending spans and finished results."""
 
-    def __init__(self, prog, task_id: int, key, blob, digest, max_steps, backend) -> None:
+    def __init__(self, prog, task_id: int, key, blob, max_steps, backend) -> None:
         self.prog, self.id = prog, task_id
-        self.key, self.blob, self.digest = key, blob, digest
+        self.key, self.blob = key, blob
         self.max_steps, self.backend = max_steps, backend
         self.pending: dict[int, _Span] = {}
         self.done: dict[int, list] = {}
@@ -278,12 +241,7 @@ class ShardExecutor:
     threads (e.g. the server's executor threads).
     """
 
-    def __init__(
-        self,
-        n_workers: int = 1,
-        cache: object = ENV_DEFAULT,
-        transport: Optional[str] = None,
-    ) -> None:
+    def __init__(self, n_workers: int = 1, transport: Optional[str] = None) -> None:
         if n_workers <= 0:
             raise ValueError(f"n_workers must be positive, got {n_workers}")
         if transport is not None and transport not in TRANSPORTS:
@@ -291,9 +249,6 @@ class ShardExecutor:
                 f"unknown shard transport {transport!r} (choose from {', '.join(TRANSPORTS)})"
             )
         self.n_workers = n_workers
-        #: the compile cache workers warm from (default: ``REPRO_CACHE_DIR``,
-        #: ``None``/``False`` = classic blob shipping)
-        self._cache = resolve_cache(cache)
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         #: ``None`` until :meth:`close`, then ``[]``: nothing can leak since
@@ -302,11 +257,12 @@ class ShardExecutor:
         self._lock = threading.Lock()
         self._task_counter = 0
         self._closed = False
-        #: recently dispatched programs: id(prog) -> (prog, wire key, blob).
-        #: The strong ref pins id() while the entry lives; the *wire* key is
-        #: a monotonic counter, never reused, so an evicted entry whose
-        #: id() is later recycled by a new program can never alias a stale
-        #: worker-cache slot.  LRU-bounded like the worker-side cache.
+        #: recently dispatched programs: id(prog) -> (prog, wire key, blob of
+        #: ``(prog, twin)``).  The strong ref pins id() while the entry
+        #: lives; the *wire* key is a monotonic counter, never reused, so an
+        #: evicted entry whose id() is later recycled by a new program can
+        #: never alias a stale worker-cache slot.  LRU-bounded like the
+        #: worker-side cache.
         self._programs: OrderedDict[int, tuple[object, int, bytes]] = OrderedDict()
         self._next_key = 0
         self._workers: list[_Worker] = []
@@ -330,12 +286,8 @@ class ShardExecutor:
                 pass
         worker.in_q = self._ctx.Queue()
         worker.out_q = self._ctx.Queue()
-        cache_dir = self._cache.path if self._cache is not None else None
-        cache_max = self._cache.max_bytes if self._cache is not None else None
         worker.process = self._ctx.Process(
-            target=_worker_main,
-            args=(worker.in_q, worker.out_q, cache_dir, cache_max),
-            daemon=True,
+            target=_worker_main, args=(worker.in_q, worker.out_q), daemon=True
         )
         worker.process.start()
         worker.shipped.clear()
@@ -414,98 +366,34 @@ class ShardExecutor:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _blob_for(self, prog) -> tuple[int, bytes, Optional[str]]:
+    def _blob_for(self, prog) -> tuple[int, bytes]:
         pid = id(prog)
         entry = self._programs.get(pid)
         if entry is None or entry[0] is not prog:
             self._next_key += 1
-            blob = pickle.dumps(prog, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = None
-            if self._cache is not None and getattr(prog, "source_fn", None) is not None:
-                from ..cache.key import cache_key
-
-                # seed the store with the exact bytes a ship would carry, so
-                # every worker (and every later process) finds the artifact
-                # under its content address
-                digest = cache_key(
-                    prog.source_fn,
-                    eps=prog.eps,
-                    opt_level=prog.opt_level,
-                    batch_axis=prog.batch_axis,
-                    backend=prog.backend,
-                )
-                try:
-                    self._cache.put(digest, prog, payload=blob)
-                except OSError:
-                    digest = None  # unwritable store: fall back to shipping
-            entry = (prog, self._next_key, blob, digest)
+            # the worker runs exactly what it receives: the program and its
+            # batched twin (``None`` when none can be built; ``prog`` itself
+            # when it carries the batch axis, one copy by the pickle memo)
+            pair = (prog, batched_program(prog))
+            entry = (prog, self._next_key, pickle.dumps(pair, protocol=pickle.HIGHEST_PROTOCOL))
             self._programs[pid] = entry
             while len(self._programs) > _WORKER_CACHE_SIZE:
                 self._programs.popitem(last=False)
         else:
             self._programs.move_to_end(pid)
-        return entry[1], entry[2], entry[3]
+        return entry[1], entry[2]
 
-    def warm(self, progs: Sequence[object]) -> int:
-        """Pre-load programs into every live worker's cache; returns loads.
-
-        Writes each program into the compile cache (exactly as a dispatch
-        would) and tells every worker to read the artifacts *now*, so the
-        first real batch after a (re)start pays no cold-ship round-trip.
-        Without a configured cache this is a no-op returning 0.
-        """
-        if self._closed:
-            raise ShardExecutorClosed("ShardExecutor is closed")
-        with self._lock:
-            if self._cache is None:
-                return 0
-            digests = []
-            for prog in progs:
-                _, _, digest = self._blob_for(prog)
-                if digest is not None:
-                    digests.append(digest)
-            if not digests:
-                return 0
-            alive = [w for w in self._workers if w.process.is_alive()]
-            for w in alive:
-                w.in_q.put((_KIND_WARM, digests))
-            total = 0
-            for w in alive:
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    try:
-                        msg = w.out_q.get(timeout=0.25)
-                    except queue_mod.Empty:
-                        if not w.process.is_alive():
-                            break
-                        continue
-                    if msg[2] == _STATUS_WARM:
-                        w.stats["warm_loads"] += msg[3]
-                        total += msg[3]
-                        break
-                    # anything else here is a stale frame from an abandoned
-                    # task on this (still-alive) worker: drop and keep waiting
-            return total
-
-    def _send(self, task: _Task, shard_idx: int, span: _Span, force_blob: bool = False) -> None:
-        """Dispatch one span to its worker.
-
-        A cold key normally ships the pickled program; with a compile cache
-        configured the send is *optimistic* — digest only — and the worker
-        warms from disk (``force_blob`` overrides after a ``need_prog``).
-        """
+    def _send(self, task: _Task, shard_idx: int, span: _Span) -> None:
+        """Dispatch one span to its worker, with the blob if its key is cold there."""
         worker = span.worker
         ship = None
         if task.key not in worker.shipped:
-            if task.digest is not None and not force_blob:
-                span.optimistic = True
-            else:
-                ship = task.blob
+            ship = task.blob
             worker.mark_shipped(task.key)
         worker.stats["bytes_shipped"] += _frame_bytes(span.payload[1])
         worker.in_q.put(
-            (_KIND_SPAN, task.id, shard_idx, task.key, ship, task.digest, span.payload,
-             len(span.chunk), task.max_steps, task.backend)
+            (task.id, shard_idx, task.key, ship, span.payload, len(span.chunk),
+             task.max_steps, task.backend)
         )
 
     def run_batch(
@@ -553,9 +441,9 @@ class ShardExecutor:
             # key/blob assignment must happen under the dispatch lock: two
             # threads registering different cold programs concurrently could
             # otherwise read the same wire key, aliasing worker cache slots
-            key, blob, digest = self._blob_for(prog)
+            key, blob = self._blob_for(prog)
             self._task_counter += 1
-            task = _Task(prog, self._task_counter, key, blob, digest, max_steps, backend)
+            task = _Task(prog, self._task_counter, key, blob, max_steps, backend)
             for shard_idx, (off, length) in enumerate(spans):
                 if length == 0:
                     task.done[shard_idx] = []  # nothing to run: never dispatched
@@ -643,16 +531,13 @@ class ShardExecutor:
             return  # stale result from an abandoned task
         worker = span.worker
         if status == _STATUS_NEED_PROG:
-            # worker-cache eviction, or the optimistic digest-only send
-            # missed the worker's on-disk store (e.g. LRU-evicted between
-            # send and read): resend — with the blob exactly once per
-            # worker per task
+            # the worker's LRU evicted a program the parent's mirror still
+            # lists: resend — with the blob exactly once per worker per task
             if id(worker) not in task.resent:
                 worker.shipped.pop(task.key, None)
                 worker.stats["need_prog"] += 1
                 task.resent.add(id(worker))
-            span.optimistic = False
-            self._send(task, shard_idx, span, force_blob=True)
+            self._send(task, shard_idx, span)
             return
         if status == _STATUS_REGISTERS:
             # the output registers: unpack and decode the flat fields back
@@ -680,7 +565,3 @@ class ShardExecutor:
         worker.stats["spans"] += 1
         worker.stats["items"] += len(span.chunk)
         worker.stats["busy_s"] += time.perf_counter() - span.sent_at
-        if span.optimistic:
-            # the digest-only cold send completed without a need_prog
-            # round-trip: the worker warmed this program from the cache
-            worker.stats["cache_warm"] += 1

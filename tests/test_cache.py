@@ -149,9 +149,19 @@ def test_default_cache_env(tmp_path, monkeypatch):
 def test_explicit_none_disables(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     prog = compile_nsc(affine(), cache=None)
-    assert not hasattr(prog, "_compile_cache")
+    assert prog._compile_cache is None  # recorded, so the twin stays uncached too
+    assert [str(o) for o in prog.run_batch([1, 2, 3])] == ["4", "7", "10"]
     store = default_cache()
     assert store.counters["stores"] == 0 and store.snapshot()["disk_entries"] == 0
+
+
+def test_uncached_program_twin_never_reads_the_env(tmp_path, monkeypatch):
+    bogus = tmp_path / "bogus-env-cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(bogus))
+    prog = compile_nsc(affine(), cache=None)
+    assert [str(o) for o in prog.run_batch([1, 2, 3])] == ["4", "7", "10"]
+    assert prog._batched_twin is not None
+    assert not bogus.exists(), "the batched twin compiled through REPRO_CACHE_DIR"
 
 
 def test_pickle_drops_the_store_handle(tmp_path):

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from fuzz_gen import too_deep
-from repro.cache.store import CompileCache
 from repro.compiler import BatchError, compile_nsc
 from repro.compiler.batch import run_batch_fields, split_shards
 from repro.nsc import builder as B
@@ -154,14 +153,7 @@ def test_closed_executor_rejects():
     ex.close()  # idempotent
     with pytest.raises(ShardExecutorClosed):
         ex.run_batch(compile_nsc(_get_fn()), [[1]])
-
-
-def test_closed_pool_refuses_warm():
-    ex = ShardExecutor(n_workers=1)
-    ex.close()
-    with pytest.raises(ShardExecutorClosed):
-        ex.warm([compile_nsc(_get_fn())])
-    assert ex.respawn_dead() == 0
+    assert ex.respawn_dead() == 0  # a closed pool respawns nothing
 
 
 def test_default_pool_is_one_worker():
@@ -284,19 +276,14 @@ def test_kill_during_result_put_does_not_wedge():
     # simply never read.  Provoke the old failure: park an oversized result
     # (far beyond the 64KB pipe buffer) in a worker's feeder, kill it
     # mid-write, then prove the executor still serves.
-    from repro.serving.shard import _KIND_SPAN
-
     ex = ShardExecutor(n_workers=2)
     try:
         prog = compile_nsc(_affine_fn())
-        key, blob, _digest = ex._blob_for(prog)
+        key, blob = ex._blob_for(prog)
         victim = ex._workers[0]
         # the result's out-of-band frames (~480 KB) cross the same pipe
         big = prog.encode_batch_fields([from_python(list(range(60_000)))])
-        victim.in_q.put(
-            (_KIND_SPAN, 10**9, 0, key, blob, None, _tp.pack_oob(big), 1,
-             10_000_000, None)
-        )
+        victim.in_q.put((10**9, 0, key, blob, _tp.pack_oob(big), 1, 10_000_000, None))
         time.sleep(1.0)  # let the worker compute and block writing the result
         victim.process.kill()
         victim.process.join(timeout=5)
@@ -328,7 +315,7 @@ def test_bytes_shipped_counts_frames_both_ways():
         tag, regs = run_batch_fields(prog, span_views, length)
         assert tag == "registers"
         n_out += sum(np.asarray(r).size for r in regs)
-    with ShardExecutor(n_workers=1, cache=None) as ex:  # no need_prog resend to count
+    with ShardExecutor(n_workers=1) as ex:
         assert ex.run_batch(prog, batch, shards=2) == prog.run_batch(batch)
         snap = ex.metrics_snapshot()
     shipped = 8 * (n_in + n_out)
@@ -399,9 +386,10 @@ def test_worker_error_is_recomputed_in_parent(monkeypatch):
         ex.close()
 
 
-def test_spawn_workers_keep_traps_and_the_pinned_cache(tmp_path, monkeypatch):
+def test_spawn_workers_keep_traps_and_never_touch_the_env_cache(tmp_path, monkeypatch):
     # where the platform has no fork, workers are spawned: they import
-    # everything afresh and see only what their arguments carry
+    # everything afresh and see only what their messages carry — the
+    # program and its twin, so nothing sends them to REPRO_CACHE_DIR
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
     prog = compile_nsc(_get_fn(), cache=None)
     batch = [[i] for i in range(8)]
@@ -409,80 +397,78 @@ def test_spawn_workers_keep_traps_and_the_pinned_cache(tmp_path, monkeypatch):
     expected = list(map(_exact, prog.run_batch(batch, return_exceptions=True)))
     bogus = tmp_path / "bogus-env-cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(bogus))
-    ex = ShardExecutor(n_workers=1, cache=CompileCache(str(tmp_path / "pinned")))
+    ex = ShardExecutor(n_workers=1)
     try:
         assert ex._ctx.get_start_method() == "spawn"
-        assert ex.warm([prog]) == 1
         got = ex.run_batch(prog, batch, shards=4, return_exceptions=True)
         assert list(map(_exact, got)) == expected
         with pytest.raises(BatchError) as ei:
             ex.run_batch(prog, batch, shards=4)
         assert ei.value.index == 3
         stats = ex._workers[0].stats
-        assert (stats["cache_warm"], stats["need_prog"], stats["errors"]) == (1, 0, 0)
+        assert (stats["need_prog"], stats["errors"], stats["fallback_spans"]) == (0, 0, 0)
     finally:
         ex.close()
     assert not bogus.exists(), "a worker read REPRO_CACHE_DIR from its environment"
 
 
-# -- compile-cache cold sends -------------------------------------------------
+# -- what a worker receives ---------------------------------------------------
 
 
-def test_artifact_evicted_between_send_and_read(tmp_path):
-    # regression: the optimistic digest-only send assumes the worker can read
-    # the artifact the parent just wrote.  Evict it in between: every span's
-    # need_prog must resolve (blob resent), the re-ship is counted ONCE per
-    # worker (not once per span), and none of it counts as a cache warm.
-    cache = CompileCache(str(tmp_path))
-    ex = ShardExecutor(n_workers=1, cache=cache)
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched compiler reaches the workers by fork",
+)
+@pytest.mark.parametrize("has_twin", [True, False], ids=["twin", "no_twin"])
+def test_workers_never_compile(monkeypatch, has_twin):
+    # the parent ships each program with its batched twin; a worker that
+    # compiled anything would hit the patched compiler, answer with an
+    # error, and have its span recomputed in the parent
+    import repro.compiler
+
+    prog = compile_nsc(_affine_fn())
+    if not has_twin:
+        prog.source_fn = None  # no twin can be built: the fallback loop runs
+    batch = [[i, i + 1, (i * 5) % 7] for i in range(8)]
+    expected = prog.run_batch(batch)  # builds the twin (or its absence) here
+    assert (prog._batched_twin is not None) == has_twin
+
+    def no_compiles(*args, **kwargs):
+        raise RuntimeError("a shard worker compiled")
+
+    monkeypatch.setattr(repro.compiler, "compile_nsc", no_compiles)
+    ex = ShardExecutor(n_workers=2)  # forks with the patch in place
     try:
-        prog = compile_nsc(_affine_fn(), cache=None)
-        batch = [[1, 2, 3], [4, 5], [6], [7, 8, 9]]
-        expected = prog.run_batch(batch)
-        ex._blob_for(prog)  # writes the artifact and memoizes the digest
-        for p in tmp_path.rglob("*"):
-            if p.is_file():
-                p.unlink()  # the "LRU eviction" between send and read
-        assert ex.run_batch(prog, batch, shards=4) == expected
-        stats = ex._workers[0].stats
-        assert stats["need_prog"] == 1, "program re-ship double-counted"
-        assert stats["cache_warm"] == 0, "a cold resend is not a cache warm"
-        # the blob landed: later batches need no further round-trips
-        assert ex.run_batch(prog, batch, shards=4) == expected
-        assert ex._workers[0].stats["need_prog"] == 1
+        assert ex.run_batch(prog, batch, shards=2) == expected
+        agg = ex.metrics_snapshot()["aggregate"]
+        assert (agg["errors"], agg["fallback_spans"]) == (0, 0)
     finally:
         ex.close()
 
 
-def test_warm_preloads_worker_caches(tmp_path):
-    cache = CompileCache(str(tmp_path))
-    ex = ShardExecutor(n_workers=2, cache=cache)
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the smaller worker cache reaches the workers by fork",
+)
+def test_need_prog_resends_an_evicted_program(monkeypatch):
+    # the worker keeps 2 programs by LRU: after A, B, A, C it holds A and C.
+    # The parent keeps its full bound (restored after the fork), so it still
+    # lists B as shipped; B's two spans go out blob-less, both come back as
+    # need_prog, and the blob is resent once.  With the parent at 2 as
+    # well, its program table would drop B too and re-ship it under a
+    # fresh key, never asking.
+    full = shard_mod._WORKER_CACHE_SIZE
+    monkeypatch.setattr(shard_mod, "_WORKER_CACHE_SIZE", 2)
+    ex = ShardExecutor(n_workers=1)  # forks with the smaller cache
+    monkeypatch.setattr(shard_mod, "_WORKER_CACHE_SIZE", full)
     try:
-        prog = compile_nsc(_affine_fn(), cache=None)
-        assert ex.warm([prog]) == 2  # one artifact load per worker
-        batch = [[1, 2], [3, 4], [5, 6], [7, 8]]
-        assert ex.run_batch(prog, batch, shards=2) == prog.run_batch(batch)
-        assert sum(w.stats["need_prog"] for w in ex._workers) == 0
-        assert sum(w.stats["warm_loads"] for w in ex._workers) == 2
-        # the digest-only cold sends were served entirely from the warmed store
-        assert sum(w.stats["cache_warm"] for w in ex._workers) == 2
-    finally:
-        ex.close()
-
-
-def test_rewarm_after_respawn(tmp_path):
-    # a respawned worker starts cold; warming it again reloads every worker
-    cache = CompileCache(str(tmp_path))
-    ex = ShardExecutor(n_workers=2, cache=cache)
-    try:
-        prog = compile_nsc(_affine_fn(), cache=None)
-        assert ex.warm([prog]) == 2
-        batch = [[1, 2], [3, 4], [5, 6], [7, 8]]
-        ex._workers[1].process.terminate()
-        ex._workers[1].process.join(timeout=5)
-        assert ex.respawn_dead() == 1
-        assert ex.warm([prog]) == 2
-        assert ex.run_batch(prog, batch, shards=2) == prog.run_batch(batch)
-        assert sum(w.stats["need_prog"] for w in ex._workers) == 0
+        fns = {"A": _affine_fn, "B": _get_fn, "C": _affine_fn}
+        progs = {name: compile_nsc(fn()) for name, fn in fns.items()}
+        batches = {"A": [[1, 2], [3]], "B": [[4], [5]], "C": [[6, 7, 8], []]}
+        for name in "ABACBB":  # the last B finds the resent blob in place
+            prog, batch = progs[name], batches[name]
+            assert ex.run_batch(prog, batch, shards=2) == prog.run_batch(batch)
+        agg = ex.metrics_snapshot()["aggregate"]
+        assert (agg["need_prog"], agg["errors"], agg["fallback_spans"]) == (1, 0, 0)
     finally:
         ex.close()
