@@ -21,10 +21,22 @@ The envelope constants below are deliberately generous: the theorem claims
 asymptotics, and the tests pin *constant-factor* behaviour so a regression
 that breaks the bound class (e.g. an accidental O(T*W) re-touching) fails
 loudly while honest constant drift does not.
+
+Run as a module it prints the battery's exact costs (eps 0.5, opt 2)::
+
+    python -m repro.compiler.difftest --table          # Markdown, T'/T per case
+    python -m repro.compiler.difftest --json           # tests/golden/battery_costs.json
+    python -m repro.compiler.difftest --table --before OLD.json   # "old → new" cells
+
+Both outputs come from :func:`battery_costs`, so the tier-1 golden and the
+README table cannot disagree.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import sys
 from dataclasses import dataclass
 from ..algorithms.mergesort import direct_merge_fn, mergesort_def
 from ..algorithms.quicksort import quicksort_def
@@ -43,6 +55,7 @@ from ..nsc.eval import apply_function
 from ..nsc.types import NAT
 from ..nsc.values import Value, from_python
 from . import CompiledProgram, compile_nsc
+from .codegen import CODEGEN_VERSION
 
 #: ``T' <= TIME_FACTOR * T + TIME_PROGRAM_FACTOR * |program| + TIME_SLACK``:
 #: T' is within a constant factor of T plus a once-through of the emitted
@@ -217,3 +230,67 @@ def run_suite(eps: float = 0.5, opt_level: int = 2) -> list[DiffRecord]:
                 run_differential(f"{name}[{i}]", fn, arg, eps=eps, compiled=prog)
             )
     return records
+
+
+# ---------------------------------------------------------------------------
+# The cost table
+# ---------------------------------------------------------------------------
+
+
+def battery_costs() -> dict:
+    """Exact per-case costs of :func:`run_suite` at eps 0.5, opt 2, tagged with
+    ``CODEGEN_VERSION`` (``T``/``W`` are the interpreter's, ``T'``/``W'`` the machine's)."""
+    eps, opt_level = 0.5, 2
+    cases = {}
+    for r in run_suite(eps, opt_level):
+        if not r.value_matches:
+            raise RuntimeError(f"{r.name}: compiled value differs from the interpreter")
+        cases[r.name] = {
+            "T": r.interp_time, "T'": r.bvram_time, "W": r.interp_work, "W'": r.bvram_work,
+            "instructions": r.instructions, "registers": r.registers,
+        }  # fmt: skip
+    return {"codegen_version": CODEGEN_VERSION, "eps": eps, "opt_level": opt_level, "cases": cases}
+
+
+def _ratio(row: dict) -> str:
+    return format(row["T'"] / row["T"], ".2f") if row["T"] else "-"
+
+
+def format_cost_table(costs: dict, before: dict | None = None) -> str:
+    """A Markdown table of ``costs``; a cell that moved since ``before`` reads ``old → new``."""
+    header = ["case", "T", "T'", "T'/T", "W", "W'", "instructions", "registers"]
+    lines = ["| " + " | ".join(header) + " |", "|---" * len(header) + "|"]
+    old_cases = before["cases"] if before else {}
+    for name, row in costs["cases"].items():
+        old = old_cases.get(name, row)
+        cells = [name]
+        for col in header[1:]:
+            new_v, old_v = (_ratio(row), _ratio(old)) if col == "T'/T" else (row[col], old[col])
+            cells.append(str(new_v) if new_v == old_v else f"{old_v} → {new_v}")
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description="Exact T/T'/W/W' costs of the differential battery.")
+    out = ap.add_mutually_exclusive_group(required=True)
+    out.add_argument("--table", action="store_true", help="print a Markdown table")
+    out.add_argument("--json", action="store_true", help="print the golden JSON")
+    ap.add_argument("--before", metavar="JSON", help="a --json output to diff the table against")
+    args = ap.parse_args(argv)
+    costs = battery_costs()
+    if args.json:
+        print(json.dumps(costs, indent=1))
+        return 0
+    before = None
+    if args.before:
+        with open(args.before, encoding="utf-8") as fh:
+            before = json.load(fh)
+    print(f"codegen v{costs['codegen_version']}, eps {costs['eps']}, opt_level {costs['opt_level']}")
+    print()
+    print(format_cost_table(costs, before))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,9 +22,11 @@ already elementwise-vectorised, the body's code is *identical* at any
 nesting depth — this is why flattening gives ``T' = O(T)``.
 
 Control flow never permutes data: branches evaluate on order-preserving
-*packed* sub-contexts (``select``) and results are recombined with the
-order-preserving ``flag_merge`` route, so the machine needs no general
-permutation instruction (Theorem 7.1).
+*packed* sub-contexts and results are recombined with the order-preserving
+``flag_merge`` route, so the machine needs no general permutation
+instruction (Theorem 7.1).  A pack is one bounded monotone route with the
+0/1 mask as its counts, bounded by the packed template ``select(mask)``;
+no value is shifted, so every int64 passes a branch.
 
 The while case (Lemma 7.2) keeps the elements of a lifted
 ``while(p, g)`` in their original relative order in a *working set* and runs
@@ -192,20 +194,14 @@ class Flattener:
         self.em.mark(ok)
         self.em.vn_restore(snapshot)
 
-    def pack_field(self, data: int, mask: int, ones: Optional[int] = None) -> int:
-        """Keep the entries of ``data`` at the non-zero (0/1) ``mask`` positions.
+    def pack_field(self, data: int, mask: int) -> int:
+        """Keep the entries of ``data`` at the 1-slots of the 0/1 ``mask``, in order.
 
-        Values are shifted by +1 before the mask multiplication so genuine
-        zeros survive the non-zero ``select`` packing (the Section 2 idiom).
+        ``np.repeat(data, mask)`` as one route; its bound ``select(mask)`` is
+        the packed template callers already hold (value numbering shares it).
+        A mask entry above 1 fails the route's bound check.
         """
-        em = self.em
-        if ones is None:
-            ones = self.ones_like(mask)
-        shifted = em.arith("+", data, ones)
-        masked = em.arith("*", shifted, mask)
-        packed = em.select(masked)
-        ones_packed = em.select(mask)
-        return em.arith("-", packed, ones_packed)
+        return self.em.bm_route(data=data, counts=mask, bound=self.em.select(mask))
 
     # -- structural rep operations ------------------------------------------
 

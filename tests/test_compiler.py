@@ -6,12 +6,15 @@ S-object, with measured ``T'`` within a constant factor of ``T`` and ``W'``
 inside the ``O(W^(1+eps))`` envelope for two ``eps`` values.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.bvram import BVRAMError
 from repro.compiler import CompileError, CompiledProgram, compile_nsc
-from repro.compiler.codegen import decode_batch, encode_batch, field_count
-from repro.compiler.difftest import run_differential, run_suite, suite
+from repro.compiler.codegen import CODEGEN_VERSION, decode_batch, encode_batch, field_count
+from repro.compiler.difftest import battery_costs, run_differential, run_suite, suite
 from repro.compiler.nsa import block_free_vars, block_size, lower_function
 from repro.nsc import apply_function, builder as B, evaluate, from_python, lib
 from repro.nsc.eval import NSCEvalError
@@ -100,6 +103,25 @@ def test_differential_suite(eps):
         for r in bad
     )
     assert not bad, f"differential failures at eps={eps}:\n{detail}"
+
+
+_COSTS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "battery_costs.json")
+
+
+def test_battery_costs_match_golden():
+    """Exact T, T', W, W', instructions and registers of every battery case.
+
+    A code generator change that moves any count must regenerate the file
+    and bump ``CODEGEN_VERSION``; the diff then shows every moved cell.
+    """
+    with open(_COSTS_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    regen = (
+        "if the change is intentional, regenerate the snapshot with:\n"
+        "  PYTHONPATH=src python -m repro.compiler.difftest --json > tests/golden/battery_costs.json"
+    )
+    assert golden["codegen_version"] == CODEGEN_VERSION, "CODEGEN_VERSION moved; " + regen
+    assert battery_costs() == golden, "battery costs drifted from tests/golden/battery_costs.json; " + regen
 
 
 def test_cost_envelope_holds_as_the_input_grows():

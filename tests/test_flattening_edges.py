@@ -4,7 +4,8 @@ Targets the corners the main E6 experiment never visits: empty inputs,
 single-element segments, extreme ``eps`` values and elements that finish in
 zero iterations — all three ``seq_while_*`` schemes must agree with the
 scalar oracle on every one of them.  The last section does the same for the
-*compiled* flattening of a ``map``'s closure (``flatten.distribute_rep``).
+*compiled* flattening of a ``map``'s closure (``flatten.distribute_rep``)
+and of a branch's pack (``flatten.pack_field``).
 """
 
 import numpy as np
@@ -13,10 +14,13 @@ import pytest
 from repro.bvram import BVRAM, BVRAMError, isa
 from repro.compiler import compile_nsc
 from repro.compiler.batch import BatchError, batched_program
+from repro.compiler.codegen import Emitter
+from repro.compiler.flatten import Flattener, RScalar
 from repro.nsc import builder as B
 from repro.nsc.eval import NSCEvalError, apply_function
 from repro.nsc.types import NAT, UNIT, prod, seq
-from repro.nsc.values import from_python
+from repro.nsc.values import from_python, to_python
+from repro.serving import ShardExecutor
 from repro.sa.flattening import (
     CostCounter,
     SegmentedVector,
@@ -296,3 +300,46 @@ def test_closure_broadcast_through_the_whole_chain(name):
             else:
                 assert slot == expected[i]
     assert len(trap_texts) <= 1  # opt0 and opt2 name the same trap
+
+
+# ---------------------------------------------------------------------------
+# The pack: one bounded monotone route over the 0/1 mask
+# ---------------------------------------------------------------------------
+
+
+def test_pack_rep_of_a_scalar_is_one_route():
+    em = Emitter(reserved=2, value_number=True)
+    packed = Flattener(em).pack_rep(RScalar(0), 1)
+    (select, route) = em.instructions
+    assert select == isa.Select(dst=select.dst, src=1)
+    assert route == isa.BmRoute(dst=packed.reg, data=0, counts=1, bound=select.dst)
+
+
+def test_pack_by_a_count_above_one_traps_loudly():
+    em = Emitter(reserved=2)
+    out = Flattener(em).pack_field(0, 1)
+    em.move(out, dst=0)
+    em.halt()
+    prog = isa.Program(em.instructions, em.labels, em.n_regs, n_inputs=2, n_outputs=1)
+    inputs = [[4, 5, 6], [1, 0, 1]]
+    assert _on_every_engine(prog, inputs, lambda regs: regs[0].tolist())[:2] == ("value", [4, 6])
+    tag, text, _, _ = _on_every_engine(prog, [[4, 5, 6], [2, 0, 1]], None)
+    assert (tag, text) == ("trap", "bm_route: counts must sum to the length of the bound register")
+
+
+def test_a_branch_passes_full_width_values():
+    """``case`` packs each branch's inputs; a pack never adds, so ``2**63-1`` survives."""
+    x = B.gensym("x")
+    fn = B.map_(B.lam(x, NAT, B.if_(B.eq(B.v(x), 0), B.v(x), B.v(x))))
+    arg = [5, 2**63 - 1, 0]
+    assert to_python(apply_function(fn, from_python(arg)).value) == arg
+    for opt_level in (0, 2):
+        prog = compile_nsc(fn, opt_level=opt_level)
+        outcome = _on_every_engine(prog, prog.encode_input(from_python(arg)), prog.decode_output)
+        assert to_python(outcome[1]) == arg
+        batch = [arg, [], [2**63 - 1], arg]
+        want = [from_python(b) for b in batch]
+        assert prog.run_batch(batch) == want
+        assert prog._batch_fallback_error is None  # the twin ran, no per-input retry
+        with ShardExecutor(n_workers=1) as ex:
+            assert prog.run_batch(batch, executor=ex) == want
