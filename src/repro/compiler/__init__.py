@@ -46,7 +46,8 @@ Front door::
                                           # (see repro.compiler.batch)
 
 ``eps`` is realised at run time as ``n^eps`` via repeated integer square
-roots, so it is quantised to ``2**-k`` (``1, 0.5, 0.25, ...``).  Programs
+roots, so it is quantised down to ``2**-k`` (``1, 0.5, 0.25, ...``);
+``CompiledProgram.eps`` is the realised value.  Programs
 using named recursion must first pass through the Theorem 4.2 translation
 (:func:`repro.maprec.translate.translate`) — together the two close the
 paper's chain from recursive NSC all the way down to BVRAM instructions.
@@ -332,7 +333,8 @@ def compile_nsc(
     """Compile a (typecheckable) NSC function to an executable BVRAM program.
 
     ``eps`` trades work for register pressure per Lemma 7.2 (``W' =
-    O(W^(1+eps))``); it is quantised to ``2**-k``.  Raises
+    O(W^(1+eps))``); it is quantised down to ``2**-k`` (``0.75`` compiles
+    the ``0.5`` program), and ``prog.eps`` is the realised value.  Raises
     :class:`~repro.nsc.typecheck.NSCTypeError` on ill-typed input and
     :class:`CompileError` on programs outside the supported fragment
     (named recursion, equality on non-scalar types, sequence-typed closures
@@ -446,7 +448,7 @@ def compile_nsc(
         n_outputs=len(out_regs),
         dom=ft.dom,
         cod=ft.cod,
-        eps=eps,
+        eps=fl.eps,
         nsa_size=block_size(block),
         opt_level=opt_level,
         batch_axis=batch_axis,

@@ -26,7 +26,8 @@ Run as a module it prints the battery's exact costs (eps 0.5, opt 2)::
 
     python -m repro.compiler.difftest --table          # Markdown, T'/T per case
     python -m repro.compiler.difftest --json           # tests/golden/battery_costs.json
-    python -m repro.compiler.difftest --table --before OLD.json   # "old → new" cells
+    python -m repro.compiler.difftest --table --before OLD.json   # "old → new" cells,
+                                                                  # summed T'/W', rises
 
 Both outputs come from :func:`battery_costs`, so the tier-1 golden and the
 README table cannot disagree.
@@ -271,6 +272,24 @@ def format_cost_table(costs: dict, before: dict | None = None) -> str:
     return "\n".join(lines)
 
 
+def format_cost_summary(costs: dict, before: dict) -> str:
+    """One line: summed ``T'``/``W'`` of the cases in both, ``before → after``,
+    and every case whose ``T'`` or ``W'`` rose."""
+    old_cases = before["cases"]
+    shared = [name for name in costs["cases"] if name in old_cases]
+    totals = []
+    for col in ("T'", "W'"):
+        old_sum = sum(old_cases[name][col] for name in shared)
+        new_sum = sum(costs["cases"][name][col] for name in shared)
+        totals.append(f"sum {col} {old_sum} → {new_sum}")
+    rose = [
+        name
+        for name in shared
+        if any(costs["cases"][name][col] > old_cases[name][col] for col in ("T'", "W'"))
+    ]
+    return ", ".join(totals) + "; rose: " + (", ".join(rose) or "none")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description="Exact T/T'/W/W' costs of the differential battery.")
     out = ap.add_mutually_exclusive_group(required=True)
@@ -289,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"codegen v{costs['codegen_version']}, eps {costs['eps']}, opt_level {costs['opt_level']}")
     print()
     print(format_cost_table(costs, before))
+    if before is not None:
+        print()
+        print(format_cost_summary(costs, before))
     return 0
 
 

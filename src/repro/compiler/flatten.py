@@ -36,6 +36,13 @@ ride along (never re-stepped, at most ``n^eps``-fold re-touched by the
 packing) until the stage boundary flushes them into the final accumulator,
 which is touched only ``O(1/eps)`` times.  This gives ``W' = O(n^eps * W)``
 with a number of registers independent of ``eps`` — the paper's bound.
+The loop is *rotated*: ``p`` runs once on the initial state before the loop
+and then right after each step, so ``live`` always holds the last
+predicate's answer.  An iteration packs the working set once (by ``live``),
+steps and tests the packed elements, and merges the state back once.  Each
+element sees ``p(x0), g(x0), p(x1), g(x1), ...`` in lockstep with the
+others, so the vector steps run in that order and the first to trap names
+the error (a predicate's trap before the same step's body overflow).
 """
 
 from __future__ import annotations
@@ -157,9 +164,11 @@ class Flattener:
         if not 0 < eps <= 1:
             raise CompileError("eps must lie in (0, 1]")
         self.em = em
-        self.eps = eps
-        # n^eps is computed at run time by k-fold integer sqrt: eps ~ 2^-k.
-        self._sqrt_steps = max(0, round(math.log2(1.0 / eps))) if eps < 1 else 0
+        # n^eps is computed at run time by k-fold integer sqrt, so eps is
+        # realised as 2^-k.  k rounds up, so the realised eps never exceeds
+        # the requested one; the tolerance keeps 1, 0.5, 0.25, ... exact.
+        self._sqrt_steps = max(0, math.ceil(math.log2(1.0 / eps) - 1e-9))
+        self.eps = 2.0**-self._sqrt_steps
 
     # -- small vector idioms -------------------------------------------------
 
@@ -566,11 +575,17 @@ class Flattener:
         for _ in range(self._sqrt_steps):
             s_reg = em.un_arith("sqrt", s_reg)
 
+        # The loop is rotated: the predicate runs once on the initial state
+        # here, then right after every step, so an iteration packs the
+        # working set once (by live) and merges the state once.
+        pres0 = self._compile_pred(op, Ctx(T), state0, parts0[1:], fvs)
+
         # Loop-carried registers: the working set (state + closure parts, in
-        # original element order), its live mask, the dense live mask over the
-        # original n slots, the result accumulator and the stage width m.
+        # original element order), its live mask (1 = the predicate last held),
+        # the dense live mask over the original n slots, the result
+        # accumulator and the stage width m.
         ws = [self.phi_rep(p) for p in parts0]
-        live = em.move(ones_n)
+        live = em.move(pres0.tag)
         dense = em.move(ones_n)
         result = self.phi_rep(state0)
         m_reg = em.move(n_count)
@@ -605,34 +620,36 @@ class Flattener:
         em.goto_if_empty(exit_l, em.select(m_reg))
 
         em.mark(no_flush)
-        # ---- one parallel iteration over the live elements ----
-        live_ones = em.select(live)
-        packed = [self.pack_rep(r, live) for r in ws]
-        penv = {op.pred.params[0]: packed[0]}
-        for v, r in zip(fvs, packed[1:]):
-            penv[v] = r
-        pres = self.compile_block(op.pred, Ctx(live_ones), penv)
-        assert isinstance(pres, RSum)
-        pmask = pres.tag  # 1 = keep iterating, 0 = finished now
-        go = [self.pack_rep(r, pmask) for r in packed]
+        # ---- one parallel step of the live elements, then their predicate ----
+        go = [self.pack_rep(r, live) for r in ws]
+        go_ctx = Ctx(em.select(live))
         benv = {op.body.params[0]: go[0]}
         for v, r in zip(fvs, go[1:]):
             benv[v] = r
-        stepped = self.compile_block(op.body, Ctx(em.select(pmask)), benv)
+        stepped = self.compile_block(op.body, go_ctx, benv)
+        pres = self._compile_pred(op, go_ctx, stepped, go[1:], fvs)
         # Only the state part changes inside an iteration: the closure parts
         # (ws[1:]) are loop-invariant between compactions, so recombining
         # them would be an identity round-trip of vector work.
-        stay = self.pack_rep(packed[0], self.not_mask(pmask))
-        merged_state = self.merge_rep(pmask, stepped, stay)
-        not_live2 = self.not_mask(live)
-        rest = self.pack_rep(ws[0], not_live2)
-        new_state = self.merge_rep(live, merged_state, rest)
-        nl_sel = em.select(not_live2)
+        not_live = self.not_mask(live)
+        rest = self.pack_rep(ws[0], not_live)
+        new_state = self.merge_rep(live, stepped, rest)
+        nl_sel = em.select(not_live)
         zeros_nl = em.arith("-", nl_sel, nl_sel)
-        new_live2 = em.flag_merge(live, pmask, zeros_nl)
+        new_live = em.flag_merge(live, pres.tag, zeros_nl)
         self.assign_rep(ws[0], new_state)
-        em.move(new_live2, dst=live)
+        em.move(new_live, dst=live)
         em.goto(top)
 
         em.mark(exit_l)
         return result
+
+    def _compile_pred(
+        self, op: nsa.NWhile, ctx: Ctx, state: Rep, closure: Sequence[Rep], fvs: list[NVar]
+    ) -> RSum:
+        """``op.pred`` on ``state`` under ``ctx``; its tag is 1 where the loop goes on."""
+        env = {op.pred.params[0]: state}
+        env.update(zip(fvs, closure))
+        pres = self.compile_block(op.pred, ctx, env)
+        assert isinstance(pres, RSum)
+        return pres

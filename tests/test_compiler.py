@@ -14,7 +14,13 @@ import pytest
 from repro.bvram import BVRAMError
 from repro.compiler import CompileError, CompiledProgram, compile_nsc
 from repro.compiler.codegen import CODEGEN_VERSION, decode_batch, encode_batch, field_count
-from repro.compiler.difftest import battery_costs, run_differential, run_suite, suite
+from repro.compiler.difftest import (
+    battery_costs,
+    format_cost_summary,
+    run_differential,
+    run_suite,
+    suite,
+)
 from repro.compiler.nsa import block_free_vars, block_size, lower_function
 from repro.nsc import apply_function, builder as B, evaluate, from_python, lib
 from repro.nsc.eval import NSCEvalError
@@ -124,6 +130,13 @@ def test_battery_costs_match_golden():
     assert battery_costs() == golden, "battery costs drifted from tests/golden/battery_costs.json; " + regen
 
 
+def test_cost_summary_sums_shared_cases_and_names_every_rise():
+    before = {"cases": {"a": {"T'": 10, "W'": 5}, "b": {"T'": 3, "W'": 9}, "gone": {"T'": 1, "W'": 1}}}
+    after = {"cases": {"a": {"T'": 8, "W'": 6}, "b": {"T'": 3, "W'": 9}, "new": {"T'": 1, "W'": 1}}}
+    assert format_cost_summary(after, before) == "sum T' 13 → 11, sum W' 14 → 15; rose: a"
+    assert format_cost_summary(before, before).endswith("; rose: none")
+
+
 def test_cost_envelope_holds_as_the_input_grows():
     """Theorem 7.1 as scaling, not one size: T'/T bounded, W' under W^(1+eps)."""
     from repro.analysis import loglog_slope
@@ -167,6 +180,21 @@ def test_eps_is_validated():
         compile_nsc(fn, eps=0.0)
     with pytest.raises(CompileError, match="eps"):
         compile_nsc(fn, eps=1.5)
+
+
+def test_eps_is_realised_as_the_next_power_of_two_down():
+    """``n^eps`` is ``k`` integer square roots: ``eps = 0.75`` gets the
+    ``eps = 0.5`` program and reports 0.5, never an eps it did not build."""
+    from repro.compiler.difftest import _collatz_steps
+
+    fn = _collatz_steps()
+    progs = {eps: compile_nsc(fn, eps=eps) for eps in (1.0, 0.75, 0.5, 0.3, 0.25)}
+    for eps in (1.0, 0.5, 0.25):
+        assert progs[eps].eps == eps
+    assert progs[0.75].eps == 0.5 and progs[0.3].eps == 0.25
+    assert progs[0.75].instructions == progs[0.5].instructions
+    assert progs[0.75].instructions != progs[1.0].instructions
+    assert progs[0.3].instructions == progs[0.25].instructions
 
 
 def test_smaller_eps_does_not_increase_work_on_skewed_while():

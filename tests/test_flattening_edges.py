@@ -4,8 +4,9 @@ Targets the corners the main E6 experiment never visits: empty inputs,
 single-element segments, extreme ``eps`` values and elements that finish in
 zero iterations — all three ``seq_while_*`` schemes must agree with the
 scalar oracle on every one of them.  The last section does the same for the
-*compiled* flattening of a ``map``'s closure (``flatten.distribute_rep``)
-and of a branch's pack (``flatten.pack_field``).
+*compiled* flattening of a ``map``'s closure (``flatten.distribute_rep``),
+of a branch's pack (``flatten.pack_field``) and of the rotated Lemma 7.2
+loop (``Flattener._compile_while``).
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.bvram import BVRAM, BVRAMError, isa
 from repro.compiler import compile_nsc
 from repro.compiler.batch import BatchError, batched_program
 from repro.compiler.codegen import Emitter
+from repro.compiler.difftest import _collatz_steps
 from repro.compiler.flatten import Flattener, RScalar
 from repro.nsc import builder as B
 from repro.nsc.eval import NSCEvalError, apply_function
@@ -343,3 +345,87 @@ def test_a_branch_passes_full_width_values():
         assert prog._batch_fallback_error is None  # the twin ran, no per-input retry
         with ShardExecutor(n_workers=1) as ex:
             assert prog.run_batch(batch, executor=ex) == want
+
+
+# ---------------------------------------------------------------------------
+# The rotated Lemma 7.2 loop: predicate before the loop and after each step
+# ---------------------------------------------------------------------------
+
+
+def _through_the_chain(fn, args):
+    """Every arg through opt0/opt2 x traced/fused/vector, ``run_batch`` and a
+    one-worker shard: the interpreter's value, or its error's text as the
+    trap, and the same ``T'``/``W'`` on every engine of one program."""
+    values = [from_python(a) for a in args]
+    expected = []
+    for v in values:
+        try:
+            expected.append(apply_function(fn, v).value)
+        except NSCEvalError as e:
+            expected.append(e)
+    outcomes = []
+    for opt_level in (0, 2):
+        prog = compile_nsc(fn, opt_level=opt_level)
+        for v, want in zip(values, expected):
+            tag, got, _, _ = _on_every_engine(prog, prog.encode_input(v), prog.decode_output)
+            if isinstance(want, NSCEvalError):
+                assert (tag, got) == ("trap", str(want)), to_python(v)
+            else:
+                assert (tag, got) == ("value", want), to_python(v)
+            outcomes.append((tag, got))
+        batched = prog.run_batch(list(args), return_exceptions=True)
+        with ShardExecutor(n_workers=1) as ex:
+            sharded = prog.run_batch(list(args), return_exceptions=True, executor=ex)
+        for i, want in enumerate(expected):
+            for slot in (batched[i], sharded[i]):
+                if isinstance(want, NSCEvalError):
+                    assert isinstance(slot, BatchError)
+                    assert (slot.index, slot.cause_text) == (i, str(want))
+                else:
+                    assert slot == want, args[i]
+    return outcomes
+
+
+def test_zero_step_loops_through_the_whole_chain():
+    """Empty input, an all-false first predicate and ``[1]``: the loop never
+    steps, only the entry predicate runs."""
+    outcomes = _through_the_chain(_collatz_steps(), [[], [0, 1, 1, 0], [1]])
+    assert [to_python(got) for _, got in outcomes] == [[], [0, 1, 1, 0], [1]] * 2
+
+
+def test_predicate_trap_wins_over_a_body_overflow_of_the_same_step():
+    """``p`` divides 12 by ``x ∸ 3``, ``g`` overflows int64 at ``x = 7``.  On
+    ``[14, 6]`` both elements step to ``[7, 3]``; the predicate of that step
+    traps on 3 before the body would overflow on 7, on every engine."""
+    x, y = B.gensym("x"), B.gensym("y")
+    pred = B.lam(x, NAT, B.gt(B.div(12, B.sub(B.v(x), 3)), 0))
+    body = B.lam(y, NAT, B.if_(B.eq(B.v(y), 7), B.mul(B.v(y), 2**62), B.div(B.v(y), 2)))
+    fn = B.map_(B.while_(pred, body))
+    outcomes = _through_the_chain(fn, [[14, 6], [6]])
+    assert outcomes == [("trap", "division by zero")] * 4
+
+
+def test_one_pack_per_working_set_field_per_iteration():
+    """The iteration packs each working-set field once, by ``live``, and
+    never by the predicate's tag (the rotation's whole point)."""
+    p, k, x, y, z = (B.gensym(c) for c in "pkxyz")
+    loop = B.while_(B.lam(y, NAT, B.lt(B.v(y), B.v(k))), B.lam(z, NAT, B.mul(B.v(z), 2)))
+    mapped = B.app(B.map_(B.lam(x, NAT, B.app(loop, B.v(x)))), B.snd(B.v(p)))
+    fn = B.lam(p, prod(NAT, seq(NAT)), B.let(k, B.fst(B.v(p)), mapped))
+    prog = compile_nsc(fn, opt_level=0)
+    (go,) = [prog.labels[name] for name in prog.labels if name.startswith("while_go")]
+    (top,) = [name for name in prog.labels if name.startswith("while_top")]
+    end = next(
+        pc for pc in range(go, len(prog.instructions)) if prog.instructions[pc] == isa.Goto(top)
+    )
+    iteration = prog.instructions[go:end]
+    set_live = iteration[-1]  # the back edge's last move: live := new_live
+    (new_live,) = [i for i in iteration if isinstance(i, isa.FlagMerge) and i.dst == set_live.src]
+    assert new_live.flags == set_live.dst
+    routes = [i for i in iteration if isinstance(i, isa.BmRoute)]
+    # the working set is the state and the captured bound: two fields
+    assert len([r for r in routes if r.counts == set_live.dst]) == 2
+    assert not [r for r in routes if r.counts == new_live.a]
+    arg = (9, [1, 3, 9, 12])
+    want = apply_function(fn, from_python(arg)).value
+    assert to_python(want) == [16, 12, 9, 12] and prog.run(arg)[0] == want
