@@ -1,8 +1,8 @@
 """One fork-safe home for every lazily-built execution cache.
 
 Every plan cache (closure table, fused plan, vector plan, profiler metadata)
-and the batched-twin cache in ``repro.compiler.batch`` needs a lock that
-survives ``os.fork``; this module is the one implementation they share:
+needs a lock that survives ``os.fork``; this module is the one
+implementation they share:
 
 * :class:`ForkSafeLock` — a ``threading.Lock`` that re-initialises itself in
   forked children.  ``os.fork`` copies a lock in whatever state the forking

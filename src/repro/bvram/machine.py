@@ -83,6 +83,13 @@ class RunResult:
         return self.registers[i]
 
 
+#: the value of every register of a fresh machine: one shared, read-only
+#: empty vector (no instruction writes a register in place, and a frozen
+#: array makes any that tried fail loudly instead of aliasing machines)
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
 def _as_vector(values: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1:
@@ -99,7 +106,7 @@ class BVRAM:
         if n_registers <= 0:
             raise ValueError("a BVRAM needs at least one register")
         self.n_registers = n_registers
-        self.registers: list[np.ndarray] = [np.zeros(0, dtype=np.int64) for _ in range(n_registers)]
+        self.registers: list[np.ndarray] = [_EMPTY] * n_registers
         self.time = 0
         self.work = 0
         self.trace: list[TraceEntry] = []

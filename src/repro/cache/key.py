@@ -6,7 +6,7 @@ A compiled artifact is a pure function of
   names replaced by structural binder indices so alpha-equivalent programs
   (e.g. two ``gensym``-built copies of the same combinator) share one
   artifact;
-* the compile knobs ``eps`` / ``opt_level`` / ``batch_axis`` / ``backend``
+* the compile knobs ``eps`` / ``opt_level`` / ``backend``
   (the backend pin does not change the emitted instructions, but it rides
   the pickled program, so two pins are two artifacts — conservative and
   cheap);
@@ -163,7 +163,6 @@ def cache_key(
     *,
     eps: float = 0.5,
     opt_level: int = 2,
-    batch_axis: bool = False,
     backend: Optional[str] = None,
 ) -> str:
     """The content address of one compiled artifact (SHA-256 hex digest).
@@ -175,8 +174,7 @@ def cache_key(
     hasher = hashlib.sha256()
     hasher.update(_salt().encode())
     hasher.update(
-        f";eps={eps!r};opt={opt_level};batch={int(bool(batch_axis))}"
-        f";backend={backend or ''};ast=".encode()
+        f";eps={eps!r};opt={opt_level};backend={backend or ''};ast=".encode()
     )
     _feed_ast(hasher, fn)
     return hasher.hexdigest()

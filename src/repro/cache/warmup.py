@@ -6,12 +6,14 @@ The CI cold/warm leg drives this module twice against one directory::
     python -m repro.cache.warmup --dir .repro-cache --manifest warm.json --expect-warm
 
 Each invocation compiles the full :func:`repro.compiler.difftest.suite`
-battery (every program at opt levels 0 and 2) **through the cache** and runs
-every suite input, writing a JSON manifest of ``{run: {value, time, work}}``.
-Because the manifest is keyed and sorted deterministically, ``diff cold.json
-warm.json`` (ignoring the timing header) proves the warm pass — which served
-every program from disk, in a *new process* — is bit-identical in results
-and ``T'``/``W'`` to the cold compile.  ``--expect-warm`` additionally exits
+battery (every program at opt levels 0 and 2) **through the cache**, runs
+every suite input, and runs all of a case's inputs as one ``run_batch``,
+writing a JSON manifest of ``{run: {value, time, work}}`` and ``{batch:
+{values}}``.  Because the manifest is keyed and sorted deterministically,
+``diff cold.json warm.json`` (ignoring the timing header) proves the warm
+pass — which served every program from disk, in a *new process* — is
+bit-identical in results and ``T'``/``W'`` to the cold compile, for single
+and batched runs alike: both execute the one cached artifact.  ``--expect-warm`` additionally exits
 non-zero unless the pass saw zero compile-cache misses, which is how CI
 asserts the ``actions/cache`` restore actually worked.
 """
@@ -33,7 +35,7 @@ OPT_LEVELS = (0, 2)
 
 
 def run_battery(store: CompileCache, backend: str | None = None) -> dict:
-    """Compile + run the battery through ``store``; deterministic manifest."""
+    """Compile + run (singly and batched) the battery through ``store``; deterministic manifest."""
     runs: dict[str, dict] = {}
     for name, fn, inputs in suite():
         for opt in OPT_LEVELS:
@@ -45,6 +47,8 @@ def run_battery(store: CompileCache, backend: str | None = None) -> dict:
                     "time": res.time,
                     "work": res.work,
                 }
+            batch = prog.run_batch(inputs, return_exceptions=True)
+            runs[f"{name}/opt{opt}/batch"] = {"values": [str(out) for out in batch]}
     return dict(sorted(runs.items()))
 
 

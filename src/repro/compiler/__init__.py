@@ -93,15 +93,13 @@ __all__ = [
 class CompiledProgram(Program):
     """A BVRAM :class:`~repro.bvram.isa.Program` plus its NSC calling convention.
 
-    ``batch_axis=True`` marks a program compiled with the **batch-segment
-    context**: the root context has width B (one slot per independent
-    request) instead of 1, fed by one extra input register — the *batch
-    template*, a length-B vector — after the ``field_count(dom)`` value
-    registers.  Such a program executes B inputs in a single machine run;
-    the flattened body code is exactly the one a width-1 compile produces,
-    because flattening makes code width-independent (the paper's point).
-    ``source_fn`` keeps the NSC function so :meth:`run_batch` can compile
-    the batched twin of a width-1 program on first use.
+    Every program carries the **batch axis**: its root context has width B
+    (one slot per independent request), fed by one extra input register —
+    the *batch template*, a length-B vector — after the ``field_count(dom)``
+    value registers.  One program therefore serves a single request (a
+    batch of one, :meth:`run`) and B requests in one machine run
+    (:meth:`run_batch`) alike: flattening makes the emitted code
+    width-independent (the paper's point), so nothing else is compiled.
 
     ``backend`` pins the untraced execution backend for this program
     (``"fused"`` or ``"vector"``); ``None`` defers to the ``REPRO_BACKEND``
@@ -116,23 +114,18 @@ class CompiledProgram(Program):
     eps: float = 0.5
     nsa_size: int = 0
     opt_level: int = 2
-    batch_axis: bool = False
-    source_fn: Optional[A.Function] = None
     backend: Optional[str] = None
 
     #: run-time caches attached to instances after compilation; they hold
     #: closures (execution plans) and diagnostics that must not — and the
     #: plans *cannot* — cross a pickle boundary.  A shard worker receiving
-    #: the program re-derives its plans on first use; the batched twin
-    #: ships beside it (see repro.serving.shard), never compiled there.
+    #: the program re-derives its plans on first use.
     _CACHE_ATTRS = (
         "_fast_plan",
         "_fused_plan",
         "_vector_plan",
-        "_batched_twin",
         "_batch_fallback_error",
         "_profile_meta",
-        "_compile_cache",
     )
 
     def __getstate__(self):
@@ -154,27 +147,21 @@ class CompiledProgram(Program):
         Each request is an S-object or plain Python data (ints, lists,
         tuples, bools, ``None``); plain data goes straight into the fields,
         directed by ``dom`` (:func:`repro.compiler.codegen.encode_inputs`).
-        For a ``batch_axis`` program the image is the width-B canonical
-        encoding plus the batch template register; a width-1 program accepts
-        only singleton batches.
+        The image is the width-B canonical encoding plus the batch template
+        register.
         """
         assert self.dom is not None
-        if not self.batch_axis and len(values) != 1:
-            raise CompileError(
-                f"program compiled without batch_axis takes 1 input, got {len(values)}"
-            )
         fields = encode_inputs(values, self.dom)
-        if self.batch_axis:
-            fields.append(np.zeros(len(values), dtype=np.int64))
+        fields.append(np.zeros(len(values), dtype=np.int64))
         return fields
 
     def encode_batch_fields(self, values: Sequence[object]) -> list[np.ndarray]:
         """The canonical field encoding of a batch — value fields only.
 
         Unlike :meth:`encode_batch_input` this never appends the batch
-        template and works on width-1 programs too: it is the transport
-        image a shard executor encodes **once** per batch and then splits
-        into per-span views with :meth:`split_batch_fields`.
+        template: it is the transport image a shard executor encodes
+        **once** per batch and then splits into per-span views with
+        :meth:`split_batch_fields`.
         """
         assert self.dom is not None
         return encode_inputs(values, self.dom)
@@ -228,17 +215,18 @@ class CompiledProgram(Program):
         butterfly network or Brent-scheduled (they need the trace).
         ``backend`` overrides the untraced engine for this call (the
         program's own ``backend`` field, then ``REPRO_BACKEND``, then
-        ``fused`` apply otherwise); it is ignored in traced mode.
+        ``fused`` apply otherwise); it is ignored in traced mode.  The value
+        runs as a batch of one.
         """
         machine = BVRAM(self.n_registers)
         res = machine.run(
             self,
-            self.encode_input(value),
+            self.encode_batch_input([value]),
             max_steps=max_steps,
             record_trace=trace,
             backend=backend,
         )
-        return self.decode_output(res.registers), res
+        return self.decode_batch_output(res.registers, 1)[0], res
 
     def profile(self, value: object, max_steps: int = 10_000_000, backend: Optional[str] = None):
         """Profile one run: per-block hits, wall time and exact T'/W' attribution.
@@ -286,11 +274,10 @@ class CompiledProgram(Program):
     ) -> list[Value]:
         """Execute B independent inputs as **one** flattened machine run.
 
-        The batched twin of this program (compiled once, cached) pushes a
-        single extra batch-segment context over the root, so serving B
-        requests costs one instruction stream — not B Python dispatch loops.
-        Falls back to a per-input loop when the twin cannot be built or the
-        batched run traps; see :mod:`repro.compiler.batch` for the exact
+        The batch template is the root context, so serving B requests costs
+        one instruction stream — not B Python dispatch loops.  Falls back to
+        a per-input loop when a request cannot be encoded or the batched
+        run traps; see :mod:`repro.compiler.batch` for the exact
         semantics (a trapping input raises :class:`BatchError` naming its
         batch index, or is returned in place with
         ``return_exceptions=True``).
@@ -326,7 +313,7 @@ def compile_nsc(
     fn: A.Function,
     eps: float = 0.5,
     opt_level: int = 2,
-    batch_axis: bool = False,
+    batch_axis: bool = True,
     backend: Optional[str] = None,
     cache: object = ENV_DEFAULT,
 ) -> CompiledProgram:
@@ -351,14 +338,13 @@ def compile_nsc(
       (segment-descriptor reuse), deletes dead instructions and reuses dead
       registers by linear scan.
 
-    ``batch_axis=True`` compiles the **batched twin**: instead of the
-    width-1 root context (one ``load_const`` template), the root context is
-    a width-B batch of independent inputs whose template arrives as one
-    extra input register after the ``field_count(dom)`` value fields.  The
-    emitted body is the same depth-independent flattened code — batching is
-    literally one more segment level.  ``CompiledProgram.run_batch`` builds
-    and caches this twin on demand; it is also a public knob for callers
-    that want to hold the batched program directly.
+    The program's root context is a width-B batch of independent inputs
+    whose template arrives as one extra input register after the
+    ``field_count(dom)`` value fields; a single request is a batch of one.
+    The emitted body is the same depth-independent flattened code at any
+    width — batching is literally one more segment level.  ``batch_axis``
+    is accepted for old callers: ``True`` is the only program there is, and
+    ``False`` is a :class:`CompileError`.
 
     ``backend`` pins the untraced execution backend on the program (see
     :mod:`repro.backends`); the choice rides the program through pickling
@@ -372,10 +358,10 @@ def compile_nsc(
     ``False`` to bypass caching for this call.  A hit skips every pass and
     returns the stored program — value- and ``T'``/``W'``-identical to a
     fresh compile, because the key covers the canonical AST, every knob
-    above, and the ISA/codegen version salt.  The resolved store (``None``
-    included) is recorded on the program, so its batched twin compiles
-    through the same store and never re-reads the environment.
+    above, and the ISA/codegen version salt.
     """
+    if not batch_axis:
+        raise CompileError("batch_axis=False was removed: every program carries the batch axis")
     if opt_level not in (0, 1, 2):
         raise CompileError(f"opt_level must be 0, 1 or 2, got {opt_level!r}")
     if backend is not None:
@@ -390,36 +376,31 @@ def compile_nsc(
     if store is not None:
         from ..cache.key import cache_key
 
-        key = cache_key(
-            fn, eps=eps, opt_level=opt_level, batch_axis=batch_axis, backend=backend
-        )
+        key = cache_key(fn, eps=eps, opt_level=opt_level, backend=backend)
         with _span("compile/cache", "compile") as sp:
             hit = store.get(key)
             sp.note(hit=int(hit is not None))
         if hit is not None:
-            hit._compile_cache = store
             return hit
 
     with _span("compile/nsa", "compile") as sp:
         ft = infer_function(fn)
         block = hoist_projections(lower_function(fn, ft.dom))
-        sp.note(nsa_size=block_size(block))
+        nsa_size = block_size(block)
+        sp.note(nsa_size=nsa_size)
     if opt_level >= 1:
         with _span("compile/optimize", "compile") as sp:
             block = optimize_block(block)
-            sp.note(nsa_size=block_size(block))
+            nsa_size = block_size(block)
+            sp.note(nsa_size=nsa_size)
 
     with _span("compile/flatten", "compile") as sp:
         n_fields = field_count(ft.dom)
-        n_in = n_fields + 1 if batch_axis else n_fields
+        n_in = n_fields + 1  # the value fields, then the length-B batch template
         em = Emitter(reserved=n_in, value_number=opt_level >= 2)
         param = rep_from_regs(ft.dom, iter(range(n_fields)))
-        if batch_axis:
-            root_tpl = n_fields  # input register: the length-B batch template
-        else:
-            root_tpl = em.load_const(0)  # the root context has width 1
         fl = Flattener(em, eps)
-        result = fl.compile_block(block, Ctx(root_tpl), {block.params[0]: param})
+        result = fl.compile_block(block, Ctx(n_fields), {block.params[0]: param})
 
         out_regs = rep_regs(result)
         temps = [em.move(r) for r in out_regs]  # two-phase: outputs may overlap inputs
@@ -430,7 +411,7 @@ def compile_nsc(
 
     with _span("compile/codegen", "compile") as sp:
         instructions, labels = em.instructions, em.labels
-        n_registers = max(em.n_regs, 1)
+        n_registers = em.n_regs  # at least the batch template
         if opt_level >= 2:
             instructions, labels = eliminate_dead_instructions(
                 instructions, labels, n_outputs=len(out_regs)
@@ -449,16 +430,13 @@ def compile_nsc(
         dom=ft.dom,
         cod=ft.cod,
         eps=fl.eps,
-        nsa_size=block_size(block),
+        nsa_size=nsa_size,
         opt_level=opt_level,
-        batch_axis=batch_axis,
-        source_fn=fn,
         backend=backend,
     )
     prog.validate()
     if store is not None:
         store.put(key, prog)
-    prog._compile_cache = store
     return prog
 
 

@@ -2,12 +2,14 @@
 
 The paper's flattening makes compiled code nesting-depth independent, so a
 batch of B requests to the same program is *just one more segment level*:
-compile the program with a width-B root context (``compile_nsc(...,
-batch_axis=True)``), stack the B input encodings (one extra batch-segment
-descriptor per sequence field, no per-request marshalling loop), execute the
-single instruction stream once, and split the outputs back per request.  All
-per-instruction interpreter overhead — the thing that dominates small
-per-request inputs — is amortised over the whole batch.
+every program's root context is a width-B batch template (see
+:func:`repro.compiler.compile_nsc`), so ``run_batch`` stacks the B input
+encodings (one extra batch-segment descriptor per sequence field, no
+per-request marshalling loop), executes the single instruction stream once,
+and splits the outputs back per request.  All per-instruction interpreter
+overhead — the thing that dominates small per-request inputs — is amortised
+over the whole batch.  ``CompiledProgram.run`` is the same program on a
+batch of one.
 
 Fallback loop
 -------------
@@ -15,9 +17,7 @@ Fallback loop
 ``run_batch`` degrades to a documented per-input loop (one fresh machine per
 input, so a failure cannot corrupt sibling results) in exactly three cases:
 
-* the batched twin cannot be compiled — the program has no ``source_fn``
-  (hand-built :class:`~repro.compiler.CompiledProgram` objects) or the
-  recompile raises :class:`~repro.compiler.CompileError`;
+* a request cannot be **encoded** (see below);
 * the batched run raises :class:`~repro.bvram.machine.BVRAMError` — either
   because some input genuinely traps (Omega, division by zero, ``get`` of a
   non-singleton, ...), or because the *combined* batch overflows a machine
@@ -49,9 +49,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from ..backends.registry import ForkSafeLock
-from ..bvram import BVRAM, BVRAMError
-from ..cache.store import ENV_DEFAULT
+from ..bvram import BVRAM, BVRAMError, RunResult
 from ..nsc.values import Value
 from ..obs.trace import span as _span
 from .nsa import CompileError
@@ -103,57 +101,32 @@ class BatchError(BVRAMError):
 #: nesting depth (:class:`CompileError`)
 ENCODE_ERRORS = (CompileError, ValueError, TypeError)
 
-_UNSET = object()
 
-#: Guards the batched-twin cache: two threads batch-serving the same cold
-#: program must not compile the twin twice (the compile is the expensive
-#: part — milliseconds against the nanosecond cache hit).  A
-#: :class:`~repro.backends.registry.ForkSafeLock` re-initialises itself in
-#: forked children, so a fork taken mid-compile cannot leave the lock held.
-_TWIN_LOCK = ForkSafeLock()
+def _execute(
+    prog: "CompiledProgram",
+    inputs: list[np.ndarray],
+    count: int,
+    max_steps: int,
+    backend: Optional[str],
+) -> Optional[RunResult]:
+    """One batched machine run; ``None`` when it raised (the fallback loop's cue).
 
-
-def batched_program(prog: "CompiledProgram") -> Optional["CompiledProgram"]:
-    """The batch-axis twin of ``prog`` (compiled once, cached on ``prog``).
-
-    Returns ``prog`` itself when it already carries the batch axis, and
-    ``None`` when no twin can be built (no ``source_fn``, or the batched
-    compile fails) — callers then use the fallback loop.  Thread-safe: the
-    cache read is a single atomic attribute load, and the compile-and-store
-    runs under ``_TWIN_LOCK`` with a re-check, so exactly one thread pays
-    the compile.
+    The error is kept on the program so a batched run that degrades for an
+    *infrastructure* reason (an ABI mismatch, a plan bug — not an input
+    trap) is observable instead of silently running B times slower; the
+    battery test asserts this stays ``None``.
     """
-    if prog.batch_axis:
-        return prog
-    cached = getattr(prog, "_batched_twin", _UNSET)
-    if cached is not _UNSET:
-        return cached
-    with _TWIN_LOCK:
-        cached = getattr(prog, "_batched_twin", _UNSET)
-        if cached is not _UNSET:
-            return cached
-        twin: Optional["CompiledProgram"] = None
-        if prog.source_fn is not None:
-            from . import compile_nsc
-
-            try:
-                # the twin inherits the backend pin, so a vector-pinned
-                # program batch-serves on the vector engine too, and the
-                # store compile_nsc resolved (an unpickled program carries
-                # none and falls back to the environment default), so a
-                # warm server never recompiles twins either
-                twin = compile_nsc(
-                    prog.source_fn,
-                    eps=prog.eps,
-                    opt_level=prog.opt_level,
-                    batch_axis=True,
-                    backend=prog.backend,
-                    cache=getattr(prog, "_compile_cache", ENV_DEFAULT),
-                )
-            except CompileError:
-                twin = None
-        prog._batched_twin = twin
-    return twin
+    try:
+        with _span("batch/execute", "serve", batch=count) as sp:
+            res = BVRAM(prog.n_registers).run(
+                prog, inputs, max_steps=max_steps, record_trace=False, backend=backend
+            )
+            sp.note(time=res.time, work=res.work)
+    except BVRAMError as e:
+        prog._batch_fallback_error = e
+        return None
+    prog._batch_fallback_error = None
+    return res
 
 
 def run_batch(
@@ -166,38 +139,18 @@ def run_batch(
     """Run ``prog`` on every input in ``values``; see the module docstring."""
     if not values:
         return []
-    twin = batched_program(prog)
-    if twin is not None:
-        try:
-            with _span("batch/encode", "serve", batch=len(values)):
-                inputs = twin.encode_batch_input(values)
-        except ENCODE_ERRORS:
-            # one request is malformed: the loop below marshals each input
-            # on its own, so only the offender fails
-            twin = None
-    if twin is not None:
-        machine = BVRAM(twin.n_registers)
-        try:
-            with _span("batch/execute", "serve", batch=len(values)) as sp:
-                res = machine.run(
-                    twin,
-                    inputs,
-                    max_steps=max_steps,
-                    record_trace=False,
-                    backend=backend,
-                )
-                sp.note(time=res.time, work=res.work)
-        except BVRAMError as e:
-            # Attribute the failure to an input index below.  The error is
-            # kept on the program so a batched run that degrades for an
-            # *infrastructure* reason (an ABI mismatch, a plan bug — not an
-            # input trap) is observable instead of silently running B times
-            # slower; the battery test asserts this stays None.
-            prog._batch_fallback_error = e
-        else:
-            prog._batch_fallback_error = None
-            with _span("batch/decode", "serve", batch=len(values)):
-                return twin.decode_batch_output(res.registers, len(values))
+    try:
+        with _span("batch/encode", "serve", batch=len(values)):
+            inputs = prog.encode_batch_input(values)
+    except ENCODE_ERRORS:
+        # one request is malformed: the loop below marshals each input on
+        # its own, so only the offender fails
+        res = None
+    else:
+        res = _execute(prog, inputs, len(values), max_steps, backend)
+    if res is not None:
+        with _span("batch/decode", "serve", batch=len(values)):
+            return prog.decode_batch_output(res.registers, len(values))
     with _span("batch/fallback", "serve", batch=len(values)):
         return _run_batch_fallback(prog, values, max_steps, return_exceptions, backend)
 
@@ -216,34 +169,20 @@ def run_batch_fields(
     here.  This is the shard-worker entry point of the span transport: the
     fields may be read-only views over received out-of-band frames, and on
     the fast path **no S-object is ever materialised** — the return is
-    ``("registers", regs)``, the batched twin's output registers still in
-    flat encoding, for the caller to ship back and decode on the other
-    side.
+    ``("registers", regs)``, the output registers still in flat encoding,
+    for the caller to ship back and decode on the other side.
 
-    When the twin cannot run (no ``source_fn``, compile failure, or the
-    batched run trapped), the inputs are decoded from the fields and the
-    documented per-input fallback loop takes over, returning
+    When the batched run traps, the inputs are decoded from the fields and
+    the documented per-input fallback loop takes over, returning
     ``("values", results)`` with in-slot :class:`BatchError` objects — the
     same isolation semantics as ``run_batch(return_exceptions=True)``.
     """
     if count == 0:
         return ("values", [])
-    twin = batched_program(prog)
-    if twin is not None:
-        machine = BVRAM(twin.n_registers)
-        inputs = list(fields)
-        inputs.append(np.zeros(count, dtype=np.int64))
-        try:
-            with _span("batch/execute", "serve", batch=count) as sp:
-                res = machine.run(
-                    twin, inputs, max_steps=max_steps, record_trace=False, backend=backend
-                )
-                sp.note(time=res.time, work=res.work)
-        except BVRAMError as e:
-            prog._batch_fallback_error = e
-        else:
-            prog._batch_fallback_error = None
-            return ("registers", [res.registers[i] for i in range(twin.n_outputs)])
+    inputs = [*fields, np.zeros(count, dtype=np.int64)]
+    res = _execute(prog, inputs, count, max_steps, backend)
+    if res is not None:
+        return ("registers", res.registers[: prog.n_outputs])
     from .codegen import decode_batch
 
     vals = decode_batch(fields, prog.dom, count)

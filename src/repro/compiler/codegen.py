@@ -62,7 +62,7 @@ from .nsa import CompileError
 #: emitted instructions, the register layout or the marshalling convention,
 #: so stale on-disk artifacts become misses instead of silently serving
 #: old code.
-CODEGEN_VERSION = 10
+CODEGEN_VERSION = 11
 
 
 class Emitter:

@@ -21,8 +21,8 @@ PR 4) into something a traffic-facing service can sit behind:
   instead of simulated.  The batch is encoded once into its flat ``int64``
   vectors, each span's slices of them ship as pickle-5 out-of-band frames
   (:mod:`repro.serving.transport`, the one wire format), and results return
-  the same way.  Each program ships once per worker together with its
-  batched twin, so a worker never compiles;
+  the same way.  Each program ships once per worker and runs there as
+  received, so a worker never compiles;
   :meth:`ShardExecutor.respawn_dead` is the pool's health check.
 
 * :class:`SLOConfig` / :class:`LaneController` (:mod:`repro.serving.slo`) —

@@ -9,12 +9,10 @@ and running each span's batched machine on its own core changes nothing
 about any request's semantics.
 
 :class:`ShardExecutor` owns a pool of **persistent** worker processes.  Each
-worker receives a program at most once, pickled together with its batched
-twin (both without their run-time caches, see
-``CompiledProgram.__getstate__``), and keeps the pair in a bounded
-per-worker cache.  A worker never compiles: the parent builds the twin, the
-worker derives only its execution plans, and a program without a twin runs
-the per-input fallback loop.
+worker receives a program at most once, pickled without its run-time
+caches (see ``CompiledProgram.__getstate__``), and keeps it in a bounded
+per-worker cache.  A worker never compiles: the program it receives is the
+one that runs every batch, and the worker derives only its execution plans.
 
 Spans travel in one wire format (:mod:`repro.serving.transport`): the parent
 encodes the batch once into its canonical flat ``int64`` vectors — plain
@@ -22,7 +20,7 @@ Python requests go straight into them, directed by the program's input
 type, with no S-object tree on the way in — and each span's slices of those
 vectors cross the worker's queue as pickle-5 out-of-band frames; the worker
 runs on read-only views of the frames it received.  Results return the same
-way (the batched twin's output registers), and the parent decodes them
+way (the program's output registers), and the parent decodes them
 exactly once.  A batch the parent cannot encode is the caller's error and
 never reaches a worker: it is answered by in-process ``run_batch``, which
 isolates the malformed request.
@@ -74,7 +72,6 @@ import numpy as np
 from ..compiler.batch import (
     ENCODE_ERRORS,
     BatchError,
-    batched_program,
     run_batch_fields,
     split_shards,
 )
@@ -103,9 +100,9 @@ def _worker_main(in_q, out_q) -> None:
 
     Every shard runs with per-input isolation (``return_exceptions=True``
     semantics) so one trapping input cannot poison its shard siblings; the
-    parent decides whether to raise.  A program arrives as the pickled pair
-    ``(prog, twin)``; pinning the twin means ``batched_program`` never
-    compiles here, whatever this process's environment says.
+    parent decides whether to raise.  A program arrives pickled and runs
+    as it is: nothing here compiles, whatever this process's environment
+    says.
     """
     cache: OrderedDict[int, object] = OrderedDict()
     while True:
@@ -120,9 +117,7 @@ def _worker_main(in_q, out_q) -> None:
                     # evicted from this worker's cache: ask for the blob
                     out_q.put((task_id, shard_idx, _STATUS_NEED_PROG, None))
                     continue
-                prog, twin = pickle.loads(blob)
-                prog._batched_twin = twin
-                cache[key] = prog
+                prog = cache[key] = pickle.loads(blob)
                 while len(cache) > _WORKER_CACHE_SIZE:
                     cache.popitem(last=False)
             else:
@@ -137,7 +132,7 @@ def _worker_main(in_q, out_q) -> None:
                 # S-object was ever built on this side of the boundary
                 out_q.put((task_id, shard_idx, _STATUS_REGISTERS, (*pack_oob(res), count)))
             else:
-                # the twin degraded to the per-input fallback loop: results
+                # the batch degraded to the per-input fallback loop: results
                 # are S-objects and in-slot BatchErrors — both pickle by
                 # construction (Value.__reduce__ / BatchError.__reduce__)
                 out_q.put((task_id, shard_idx, _STATUS_OK, res))
@@ -257,8 +252,8 @@ class ShardExecutor:
         self._lock = threading.Lock()
         self._task_counter = 0
         self._closed = False
-        #: recently dispatched programs: id(prog) -> (prog, wire key, blob of
-        #: ``(prog, twin)``).  The strong ref pins id() while the entry
+        #: recently dispatched programs: id(prog) -> (prog, wire key, pickled
+        #: prog).  The strong ref pins id() while the entry
         #: lives; the *wire* key is a monotonic counter, never reused, so an
         #: evicted entry whose id() is later recycled by a new program can
         #: never alias a stale worker-cache slot.  LRU-bounded like the
@@ -371,11 +366,8 @@ class ShardExecutor:
         entry = self._programs.get(pid)
         if entry is None or entry[0] is not prog:
             self._next_key += 1
-            # the worker runs exactly what it receives: the program and its
-            # batched twin (``None`` when none can be built; ``prog`` itself
-            # when it carries the batch axis, one copy by the pickle memo)
-            pair = (prog, batched_program(prog))
-            entry = (prog, self._next_key, pickle.dumps(pair, protocol=pickle.HIGHEST_PROTOCOL))
+            # the worker runs exactly what it receives
+            entry = (prog, self._next_key, pickle.dumps(prog, protocol=pickle.HIGHEST_PROTOCOL))
             self._programs[pid] = entry
             while len(self._programs) > _WORKER_CACHE_SIZE:
                 self._programs.popitem(last=False)

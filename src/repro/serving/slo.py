@@ -129,8 +129,8 @@ class LaneController:
     def note_batch(self, count: int, total_size: float, wall_s: float) -> None:
         """Record one timed batch and refit."""
         if not self._warm:
-            # a lane's first batch pays the lazy batched-twin compile and
-            # the plan build: that wall is not what a request costs
+            # a lane's first batch pays the lazy plan build: that wall
+            # is not what a request costs
             self._warm = True
             return
         row = (1.0, count, total_size, wall_s, total_size * total_size, total_size * wall_s)

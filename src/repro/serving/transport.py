@@ -6,7 +6,7 @@ set of contiguous slices of those vectors.  So a span crosses the worker
 queue as a tiny metadata pickle plus the raw slices, handed out by pickle
 protocol 5's ``buffer_callback`` instead of being embedded — a straight
 ``memcpy`` of the data, with no S-object graph walk and no per-span
-re-encode.  Results come back the same way: the batched twin's output
+re-encode.  Results come back the same way: the program's output
 registers are again flat vectors.
 
 This is the only format.  A shared-memory transport (one segment per

@@ -62,7 +62,6 @@ from repro.bvram.isa import (
     UnArith,
 )
 from repro.compiler import CompileError, compile_nsc
-from repro.compiler import batch as batch_mod
 from repro.compiler.difftest import suite
 from repro.nsc import builder as B
 from repro.nsc.types import NAT
@@ -381,7 +380,6 @@ def test_fork_resets_every_registered_cache_lock():
         interp_mod._CACHE._lock,
         fused_mod._CACHE._lock,
         vector_mod._CACHE._lock,
-        batch_mod._TWIN_LOCK,
     ]
     for lock in locks:
         assert lock.acquire(timeout=5)

@@ -28,12 +28,12 @@ from repro.backends.base import BLOCK
 from repro.backends.fused import build_fused_plan
 from repro.bvram import isa
 from repro.compiler import BatchError, CompileError, compile_nsc
-from repro.compiler.batch import batched_program
 from repro.compiler.codegen import decode_batch, encode_batch, field_count
 from repro.compiler.difftest import suite
 from repro.nsc import builder as B, from_python
 from repro.nsc.types import NAT, UNIT, prod, seq
 from repro.nsc.values import nat_seq_value
+from repro.obs.trace import Trace
 
 
 # ---------------------------------------------------------------------------
@@ -47,28 +47,50 @@ def test_run_batch_matches_independent_runs_across_battery():
         expected = [prog.run(a)[0] for a in args]
         got = prog.run_batch(args)
         assert got == expected, name
-        # the batched path actually ran: the twin compiled (not the fallback
-        # loop) and the batched execution did not degrade to it either
-        twin = batched_program(prog)
-        assert twin is not None and twin.batch_axis, name
-        assert batched_program(prog) is twin  # compiled once, cached
+        # the batched path actually ran: the batched execution did not
+        # degrade to the per-input loop
         assert getattr(prog, "_batch_fallback_error", None) is None, name
 
 
 def test_run_batch_on_batch_axis_program_runs_in_place():
+    # ``batch_axis=True`` is the one program there is (kept for old callers)
     fn = B.map_(B.lam("x", NAT, B.mul(B.v("x"), B.v("x"))))
-    twin = compile_nsc(fn, batch_axis=True)
-    assert batched_program(twin) is twin
-    assert twin.run_batch([[1, 2], [3]]) == [from_python([1, 4]), from_python([9])]
-    # a batch_axis program still runs single inputs (batch of one)
-    value, _ = twin.run([2, 3])
+    prog = compile_nsc(fn, batch_axis=True)
+    assert prog.n_inputs == field_count(prog.dom) + 1  # the batch template
+    assert prog.run_batch([[1, 2], [3]]) == [from_python([1, 4]), from_python([9])]
+    # a single input is a batch of one
+    value, _ = prog.run([2, 3])
     assert value == from_python([4, 9])
+    with pytest.raises(CompileError, match="batch_axis=False"):
+        compile_nsc(fn, batch_axis=False)
+
+
+@pytest.mark.parametrize("opt_level", [0, 2])
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
+def test_run_is_run_batch_of_one_across_battery(eps, opt_level):
+    """``run(v)`` is ``run_batch([v])``: the same value or trap, the same ``T'``/``W'``."""
+    for name, fn, args in suite():
+        prog = compile_nsc(fn, eps=eps, opt_level=opt_level, cache=None)
+        for arg in args:
+            ctx = (name, arg)
+            with Trace() as tr:
+                (got,) = prog.run_batch([arg], return_exceptions=True)
+            try:
+                value, res = prog.run(arg)
+            except BVRAMError as e:
+                assert isinstance(got, BatchError), ctx
+                assert (got.index, got.cause_text) == (0, str(e)), ctx
+                continue
+            assert got == value, ctx
+            execute = next(e for e in tr.events() if e["name"] == "batch/execute")
+            assert (execute["args"]["time"], execute["args"]["work"]) == (res.time, res.work), ctx
 
 
 def test_batch_axis_program_matches_width1_on_battery_subset():
     for name, fn, args in suite()[:8]:
         p1 = compile_nsc(fn)
         pb = compile_nsc(fn, batch_axis=True)
+        assert pb.instructions == p1.instructions, name
         for arg in args:
             assert p1.run(arg)[0] == pb.run(arg)[0], name
 
@@ -215,14 +237,6 @@ def test_pair_and_seq_domain_batch():
     assert prog.run_batch(batch) == [prog.run(a)[0] for a in batch]
 
 
-def test_fallback_loop_when_no_source_fn():
-    prog = compile_nsc(_square_map())
-    prog.source_fn = None  # e.g. a program deserialized without its NSC source
-    assert batched_program(prog) is None
-    batch = [[2], [3, 4]]
-    assert prog.run_batch(batch) == [prog.run(a)[0] for a in batch]
-
-
 # ---------------------------------------------------------------------------
 # Trap semantics
 # ---------------------------------------------------------------------------
@@ -293,7 +307,7 @@ def test_a_bug_in_the_per_input_loop_is_not_a_request_error(monkeypatch):
     # isolation covers traps and marshalling only: a ValueError out of the
     # machine is a bug and must not come back as one request's BatchError
     prog = compile_nsc(_div_by_input())
-    prog.run_batch([5, 0, 4], return_exceptions=True)  # compile the twin first
+    prog.run_batch([5, 0, 4], return_exceptions=True)  # build the plan first
     errors = iter([BVRAMError("the batched run traps")])
 
     def broken(self, *args, **kwargs):
@@ -318,9 +332,8 @@ def test_batched_time_is_max_not_sum():
     ]:
         prog = compile_nsc(fn)
         singles = [prog.run(v)[1] for v in batch]
-        twin = batched_program(prog)
-        res = BVRAM(twin.n_registers).run(
-            twin, twin.encode_batch_input([from_python(v) for v in batch]),
+        res = BVRAM(prog.n_registers).run(
+            prog, prog.encode_batch_input([from_python(v) for v in batch]),
             record_trace=False,
         )
         assert res.time < sum(r.time for r in singles) / 4

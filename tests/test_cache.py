@@ -56,13 +56,12 @@ def test_fingerprint_distinguishes_structure_and_constants():
 
 
 def test_cache_key_covers_every_knob():
-    base = cache_key(affine(), eps=0.5, opt_level=2, batch_axis=False, backend=None)
-    assert cache_key(affine("y"), eps=0.5, opt_level=2, batch_axis=False, backend=None) == base
+    base = cache_key(affine(), eps=0.5, opt_level=2, backend=None)
+    assert cache_key(affine("y"), eps=0.5, opt_level=2, backend=None) == base
     variants = [
-        dict(eps=0.25, opt_level=2, batch_axis=False, backend=None),
-        dict(eps=0.5, opt_level=0, batch_axis=False, backend=None),
-        dict(eps=0.5, opt_level=2, batch_axis=True, backend=None),
-        dict(eps=0.5, opt_level=2, batch_axis=False, backend="vector"),
+        dict(eps=0.25, opt_level=2, backend=None),
+        dict(eps=0.5, opt_level=0, backend=None),
+        dict(eps=0.5, opt_level=2, backend="vector"),
     ]
     keys = {cache_key(affine(), **kw) for kw in variants}
     assert base not in keys and len(keys) == len(variants)
@@ -118,20 +117,35 @@ def test_cached_runs_identical_to_fresh(tmp_path, opt_level, backend):
         assert (r_cached.time, r_cached.work) == (r_fresh.time, r_fresh.work)
 
 
-def test_batched_twin_compiles_through_the_cache(tmp_path):
+def test_run_batch_serves_the_one_cached_artifact(tmp_path):
     store = CompileCache(str(tmp_path))
     prog = compile_nsc(affine(), cache=store)
     outs = prog.run_batch([1, 2, 3])
     assert [str(o) for o in outs] == ["4", "7", "10"]
-    # width-1 program + its batch-axis twin are two artifacts
-    assert store.snapshot()["disk_entries"] == 2
+    # one program serves run and run_batch: one artifact, stored once
+    assert store.counters["stores"] == 1 and store.snapshot()["disk_entries"] == 1
 
-    # a warm restart serves BOTH from disk: zero compiles
+    # a warm restart serves it from disk: zero compiles
     fresh = CompileCache(str(tmp_path))
     prog2 = compile_nsc(affine(), cache=fresh)
     outs2 = prog2.run_batch([1, 2, 3])
     assert [str(o) for o in outs2] == ["4", "7", "10"]
-    assert fresh.counters["disk_hits"] == 2 and fresh.counters["misses"] == 0
+    assert fresh.counters["disk_hits"] == 1 and fresh.counters["misses"] == 0
+
+
+def test_warmup_manifest_is_identical_warm_for_single_and_batched_runs(tmp_path):
+    from repro.cache.warmup import run_battery
+
+    cold = run_battery(CompileCache(str(tmp_path)))
+    warm_store = CompileCache(str(tmp_path))  # a new process: disk hits only
+    assert run_battery(warm_store) == cold
+    assert warm_store.counters["misses"] == 0 and warm_store.counters["stores"] == 0
+    # each case's batched run is recorded, slot for slot equal to its single runs
+    batches = {k: v["values"] for k, v in cold.items() if k.endswith("/batch")}
+    assert batches
+    for key, values in batches.items():
+        prefix = key[: -len("batch")]
+        assert values == [cold[f"{prefix}in{i}"]["value"] for i in range(len(values))], key
 
 
 def test_default_cache_env(tmp_path, monkeypatch):
@@ -141,34 +155,25 @@ def test_default_cache_env(tmp_path, monkeypatch):
     store = default_cache()
     assert store is not None and store.path == str(tmp_path)
     assert default_cache() is store  # one shared instance per directory
-    prog = compile_nsc(affine())  # the default plumbing: env decides
-    assert getattr(prog, "_compile_cache") is store
+    compile_nsc(affine())  # the default plumbing: env decides
     assert store.counters["stores"] == 1
 
 
 def test_explicit_none_disables(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     prog = compile_nsc(affine(), cache=None)
-    assert prog._compile_cache is None  # recorded, so the twin stays uncached too
     assert [str(o) for o in prog.run_batch([1, 2, 3])] == ["4", "7", "10"]
     store = default_cache()
     assert store.counters["stores"] == 0 and store.snapshot()["disk_entries"] == 0
 
 
-def test_uncached_program_twin_never_reads_the_env(tmp_path, monkeypatch):
-    bogus = tmp_path / "bogus-env-cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(bogus))
-    prog = compile_nsc(affine(), cache=None)
-    assert [str(o) for o in prog.run_batch([1, 2, 3])] == ["4", "7", "10"]
-    assert prog._batched_twin is not None
-    assert not bogus.exists(), "the batched twin compiled through REPRO_CACHE_DIR"
-
-
 def test_pickle_drops_the_store_handle(tmp_path):
     store = CompileCache(str(tmp_path))
     prog = compile_nsc(affine(), cache=store)
+    prog.run_batch([1, 2])
     clone = pickle.loads(pickle.dumps(prog))
-    assert not hasattr(clone, "_compile_cache")
+    assert not any(hasattr(clone, attr) for attr in prog._CACHE_ATTRS)
+    assert not any(isinstance(v, CompileCache) for v in vars(clone).values())
     v, _ = clone.run(7)
     assert str(v) == "22"
 

@@ -6,7 +6,7 @@ that rebuilt the instruction list once per round and a ``while changed``
 loop over loop regions × registers.  Both are now one pass (a worklist of
 dead writers; merged loop spans, bisection and heaps).  The earlier versions
 are kept below, verbatim, as the readable oracles: on every program of the
-differential suite (three ``eps``, scalar and batched twin), every benchmark
+differential suite (three ``eps``), every benchmark
 program and ``FUZZ_CASES`` fuzz seeds (default 200; the nightly job raises
 it) the new passes must give the same instructions, labels and register
 count.  Then the pin: on synthetic instruction lists, with no compile
@@ -218,11 +218,10 @@ def _compile_both_ways(fn, **kw) -> None:
     assert _checked_dce.calls == _checked_reuse.calls == 1
 
 
-@pytest.mark.parametrize("batch_axis", [False, True], ids=["scalar", "twin"])
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
-def test_suite_programs_compile_to_the_same_code(eps, batch_axis):
+def test_suite_programs_compile_to_the_same_code(eps):
     for _, fn, _ in difftest.suite():
-        _compile_both_ways(fn, eps=eps, batch_axis=batch_axis)
+        _compile_both_ways(fn, eps=eps)
 
 
 def _bench_programs() -> dict:
@@ -237,17 +236,13 @@ def _bench_programs() -> dict:
 
 @pytest.mark.parametrize("name", sorted(_bench_programs()))
 def test_benchmark_programs_compile_to_the_same_code(name):
-    fn = _bench_programs()[name]()
-    _compile_both_ways(fn)
-    _compile_both_ways(fn, batch_axis=True)
+    _compile_both_ways(_bench_programs()[name]())
 
 
 @pytest.mark.parametrize("chunk", range(N_CHUNKS))
 def test_fuzz_programs_compile_to_the_same_code(chunk):
     for seed in range(BASE_SEED + chunk, BASE_SEED + N_CASES, N_CHUNKS):
-        fn = gen_case(seed).fn
-        _compile_both_ways(fn)
-        _compile_both_ways(fn, batch_axis=True)
+        _compile_both_ways(gen_case(seed).fn)
 
 
 # ---------------------------------------------------------------------------

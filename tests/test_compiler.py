@@ -322,7 +322,8 @@ def test_mergesort_g_schema_chain_end_to_end():
 def test_compiled_program_shape():
     prog = compile_nsc(lib.reduce_add())
     assert isinstance(prog, CompiledProgram)
-    assert prog.n_inputs == field_count(seq(NAT)) == 2
+    # the value fields, then the batch template: a single run is a batch of one
+    assert prog.n_inputs == field_count(seq(NAT)) + 1 == 3
     assert prog.n_outputs == field_count(NAT) == 1
     assert prog.nsa_size > 0
     prog.validate()  # labels and register indices are all in range

@@ -14,7 +14,7 @@ import pytest
 
 from repro.bvram import BVRAM, BVRAMError, isa
 from repro.compiler import compile_nsc
-from repro.compiler.batch import BatchError, batched_program
+from repro.compiler.batch import BatchError
 from repro.compiler.codegen import Emitter
 from repro.compiler.difftest import _collatz_steps
 from repro.compiler.flatten import Flattener, RScalar
@@ -283,14 +283,13 @@ def test_closure_broadcast_through_the_whole_chain(name):
             else:
                 assert (tag, got) == ("value", want), args[i]
         trap_texts.update(traps.values())
-        # the batched twin: one run for all inputs when none traps, the same
+        # the whole batch: one run for all inputs when none traps, the same
         # values and the same trap per slot when one does
         fine = [v for v, want in zip(values, expected) if want is not None]
-        twin = batched_program(prog)
         tag, got, _, _ = _on_every_engine(
-            twin,
-            twin.encode_batch_input(fine),
-            lambda regs: twin.decode_batch_output(regs, len(fine)),
+            prog,
+            prog.encode_batch_input(fine),
+            lambda regs: prog.decode_batch_output(regs, len(fine)),
         )
         assert (tag, got) == ("value", [e for e in expected if e is not None])
         assert prog.run_batch(fine) == got
@@ -342,7 +341,7 @@ def test_a_branch_passes_full_width_values():
         batch = [arg, [], [2**63 - 1], arg]
         want = [from_python(b) for b in batch]
         assert prog.run_batch(batch) == want
-        assert prog._batch_fallback_error is None  # the twin ran, no per-input retry
+        assert prog._batch_fallback_error is None  # one batched run, no per-input retry
         with ShardExecutor(n_workers=1) as ex:
             assert prog.run_batch(batch, executor=ex) == want
 

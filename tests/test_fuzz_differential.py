@@ -8,7 +8,7 @@ record):
 * ``compile_nsc`` at ``opt_level=0`` (naive emission, fused executor);
 * ``compile_nsc`` at ``opt_level=2`` — fused, unfused *and* generated-code
   ``vector`` backends;
-* ``run_batch`` over the whole input set (the batched twin, with
+* ``run_batch`` over the whole input set (one batched machine run, with
   ``return_exceptions=True`` isolation);
 * the ``plain`` column — the same inputs as plain Python data, which the
   front door encodes per field with no S-object built (typed ingest):
@@ -122,7 +122,7 @@ def _check_case(case, executor) -> list[str]:
     if all(o is not TRAP for o in expected) and getattr(
         prog2, "_batch_fallback_error", None
     ) is not None:
-        # no input trapped, yet the batched twin degraded to the loop:
+        # no input trapped, yet the batched run degraded to the loop:
         # an infrastructure bug hiding behind the fallback
         problems.append(
             f"batched run silently fell back: {prog2._batch_fallback_error}"

@@ -174,7 +174,7 @@ def test_compile_pipeline_emits_stage_spans():
 
 def test_run_batch_emits_serving_spans():
     prog = compile_nsc(_affine_fn())
-    prog.run_batch([[0]])  # the twin's compile spans are not this test's subject
+    prog.run_batch([[0]])  # the plan build is not this test's subject
     with Trace() as tr:
         prog.run_batch([[1, 2, 3], [4, 5], []])
     # plain requests are marshalled inside batch/encode: exactly these three

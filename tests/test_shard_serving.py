@@ -389,7 +389,7 @@ def test_worker_error_is_recomputed_in_parent(monkeypatch):
 def test_spawn_workers_keep_traps_and_never_touch_the_env_cache(tmp_path, monkeypatch):
     # where the platform has no fork, workers are spawned: they import
     # everything afresh and see only what their messages carry — the
-    # program and its twin, so nothing sends them to REPRO_CACHE_DIR
+    # program, so nothing sends them to REPRO_CACHE_DIR
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
     prog = compile_nsc(_get_fn(), cache=None)
     batch = [[i] for i in range(8)]
@@ -419,19 +419,15 @@ def test_spawn_workers_keep_traps_and_never_touch_the_env_cache(tmp_path, monkey
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched compiler reaches the workers by fork",
 )
-@pytest.mark.parametrize("has_twin", [True, False], ids=["twin", "no_twin"])
-def test_workers_never_compile(monkeypatch, has_twin):
-    # the parent ships each program with its batched twin; a worker that
-    # compiled anything would hit the patched compiler, answer with an
-    # error, and have its span recomputed in the parent
+def test_workers_never_compile(monkeypatch):
+    # the parent ships each program as it runs; a worker that compiled
+    # anything would hit the patched compiler, answer with an error, and
+    # have its span recomputed in the parent
     import repro.compiler
 
     prog = compile_nsc(_affine_fn())
-    if not has_twin:
-        prog.source_fn = None  # no twin can be built: the fallback loop runs
     batch = [[i, i + 1, (i * 5) % 7] for i in range(8)]
-    expected = prog.run_batch(batch)  # builds the twin (or its absence) here
-    assert (prog._batched_twin is not None) == has_twin
+    expected = prog.run_batch(batch)
 
     def no_compiles(*args, **kwargs):
         raise RuntimeError("a shard worker compiled")
@@ -444,6 +440,48 @@ def test_workers_never_compile(monkeypatch, has_twin):
         assert (agg["errors"], agg["fallback_spans"]) == (0, 0)
     finally:
         ex.close()
+
+
+def test_one_compile_serves_every_path(monkeypatch):
+    # run, run_batch, a Server lane and a sharded batch all execute the
+    # program compile_nsc returned: none of them compiles another one
+    import asyncio
+    import os
+
+    import repro.compiler
+    from repro.serving import Server
+    from repro.serving import scheduler as scheduler_mod
+
+    prog = compile_nsc(_affine_fn(), cache=None)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(os.getpid())
+        raise RuntimeError("compile_nsc called after the first compile")
+
+    monkeypatch.setattr(repro.compiler, "compile_nsc", counting)
+    monkeypatch.setattr(scheduler_mod, "compile_nsc", counting)
+    batch = [[i, (i * 5) % 7] for i in range(6)]
+    expected = [prog.run(v)[0] for v in batch]
+    assert prog.run_batch(batch) == expected
+    assert prog._batch_fallback_error is None
+
+    async def serve():
+        server = Server()
+        try:
+            return await asyncio.gather(*(server.submit(prog, v) for v in batch))
+        finally:
+            await server.close()
+
+    assert asyncio.run(serve()) == expected
+    with ShardExecutor() as ex:  # forks with the patch in place
+        assert prog.run_batch(batch, executor=ex) == expected
+        agg = ex.metrics_snapshot()["aggregate"]
+        assert (agg["errors"], agg["fallback_spans"]) == (0, 0)
+        # a worker receives the program alone, exactly as it runs here
+        shipped = pickle.loads(ex._blob_for(prog)[1])
+        assert type(shipped) is type(prog) and shipped.instructions == prog.instructions
+    assert calls == []
 
 
 @pytest.mark.skipif(

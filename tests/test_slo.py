@@ -78,7 +78,7 @@ def test_request_size_deep_no_recursion_error():
 
 def _warm_controller(cfg: SLOConfig) -> LaneController:
     """A controller past its lane's first batch, which the fit never sees:
-    that one pays the lazy twin compile and the plan build."""
+    that one pays the lazy plan build."""
     ctrl = LaneController(cfg)
     ctrl.note_batch(1, 10.0, 30.0)  # a 30 s "cold" wall
     assert ctrl.snapshot()["batches"] == 0
@@ -184,7 +184,7 @@ def test_admission_rejects_predicted_expensive_outlier():
 
 
 def test_cold_lane_does_not_lock_itself_out():
-    # The lane's first batch pays the lazy batched-twin compile.  With a
+    # The lane's first batch pays the lazy plan build.  With a
     # target between the cold and the warm wall, learning from that batch
     # would reject all later same-size traffic — and in reject mode nothing
     # would ever run again to correct the fit.
@@ -192,7 +192,7 @@ def test_cold_lane_does_not_lock_itself_out():
     run_batch, walls = prog.run_batch, iter([0.15])
 
     def cold_then_warm(values, **kwargs):
-        time.sleep(next(walls, 0.0))  # stands in for the one-off compile
+        time.sleep(next(walls, 0.0))  # stands in for the one-off plan build
         return run_batch(values, **kwargs)
 
     prog.run_batch = cold_then_warm

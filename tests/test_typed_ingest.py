@@ -173,7 +173,7 @@ def test_well_formed_plain_requests_never_build_a_tree(monkeypatch):
         progs.append(compile_nsc(B.lam(x, dom, B.v(x))))
         rng = random.Random(str(dom))
         batches.append([_gen_input(rng, dom, edge=i == 0) for i in range(6)])
-        progs[-1].run_batch(batches[-1])  # compile the twin before the patch
+        progs[-1].run_batch(batches[-1])  # build the plan before the patch
 
     def no_tree(obj):
         raise AssertionError(f"from_python called on {type(obj).__name__}")
