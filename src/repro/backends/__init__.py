@@ -2,10 +2,14 @@
 
 A backend turns a validated program into a cached *plan* and hands it to
 the one dispatch loop (:func:`repro.backends.base.run_plan`), which keeps
-the exact Section 2 ``T``/``W`` accounting.  Two ship here:
+the exact Section 2 ``T``/``W`` accounting.  Both start from the op table
+(:func:`repro.backends.fused.plan_for`): one entry per instruction, each
+register op's closure built by its class's ``step()``
+(:mod:`repro.bvram.isa`) — the same table the traced reference walks.  Two
+ship here:
 
-* ``fused`` — one closure call per straight-line block; the plan is cheap
-  to build, so this is the default;
+* ``fused`` — the table's closures grouped into one call per straight-line
+  block; the plan is cheap to build, so this is the default;
 * ``vector`` — each block compiled to one *generated* Python function of
   NumPy mega-ops with interval-bound guard elision; faster blocks, a far
   dearer plan.

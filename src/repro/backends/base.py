@@ -35,10 +35,11 @@ import os
 
 from ..bvram.errors import BVRAMError
 
-#: plan entry kinds.  The closure table (:mod:`repro.backends.interp`) has
-#: one STEP/JUMP/HALT/TRAP entry per instruction; an executable plan groups
-#: the STEPs into BLOCKs, so :func:`run_plan` never sees a STEP.
-STEP = 0  # plain register op: fn(regs) executes it
+#: plan entry kinds.  The op table (:func:`repro.backends.fused.plan_for`)
+#: has one STEP/JUMP/HALT/TRAP entry per instruction, and the traced
+#: reference walks it entry by entry; an executable plan groups the STEPs
+#: into BLOCKs, so :func:`run_plan` never sees a STEP.
+STEP = 0  # plain register op: fn(regs) executes it, fn built by the class's step()
 JUMP = 1  # control flow: fn(regs) returns the next pc, or -1 to fall through
 HALT = 2
 TRAP = 3  # payload is the trap message

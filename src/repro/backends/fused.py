@@ -1,4 +1,10 @@
-"""The ``fused`` backend: superinstructions over the closure table.
+"""The ``fused`` backend: superinstructions over the op table.
+
+The op table (:func:`plan_for`) is one ``(kind, payload, rw)`` entry per
+instruction: a register op's payload is the closure its class's ``step()``
+builds (:mod:`repro.bvram.isa`), and only the four control-flow classes are
+spelled here.  The traced reference (:mod:`repro.bvram.machine`) walks the
+same table one entry at a time; this tier groups it.
 
 Maximal straight-line runs of non-jump instructions execute as one *fused*
 step function — a single dispatch per block instead of one per instruction —
@@ -20,13 +26,15 @@ instruction in the same block may resize a register, so the work loop cannot
 be hoisted out.  When an instruction raises mid-block, the totals of the
 instructions before it are reported through a shared ``partial`` cell and
 the raising instruction is not charged, matching the traced loop's
-charge-after-execute discipline.
+charge-after-execute discipline.  A step budget that expires mid-block
+drives the table's closures one by one (both tiers, so ``max_steps`` stops
+at the identical instruction).
 
-The grouping pass (:func:`group_entries`) and the jump re-targeting
-(:func:`jump_entry`) are shared with the vector backend, which compiles the
-very same blocks into generated NumPy mega-ops instead of closure loops —
-both backends therefore agree exactly on plan indices and ``max_steps``
-block boundaries.
+The op table, the grouping pass (:func:`group_entries`) and the jump
+re-targeting (:func:`jump_entry`) are shared with the vector backend, which
+compiles the very same blocks into generated NumPy mega-ops instead of
+closure loops — both backends therefore agree exactly on plan indices and
+``max_steps`` block boundaries.
 """
 
 from __future__ import annotations
@@ -34,15 +42,63 @@ from __future__ import annotations
 from ..bvram import isa
 from .base import (
     BLOCK,
+    HALT,
     JUMP,
     STEP,
+    TRAP,
     Backend,
     format_listing,
     register_backend,
     run_plan,
 )
-from .interp import plan_for
 from .registry import PlanCache
+
+
+def _jump(instr: isa.Instruction, target: int):
+    """The closure of a ``goto``/``goto_if_empty``: the next pc, or -1 to fall through."""
+    if isinstance(instr, isa.Goto):
+
+        def jump(regs, target=target):
+            return target
+
+    else:  # GotoIfEmpty
+
+        def jump(regs, target=target, src=instr.src):
+            return target if regs[src].size == 0 else -1
+
+    return jump
+
+
+def build_plan(program: isa.Program) -> list[tuple]:
+    """The op table: ``(kind, payload, rw)`` tuples, one per instruction.
+
+    ``rw`` is the concatenation of the instruction's read and written
+    register indices — exactly the registers the traced loop's ``_charge``
+    sums over — so blocks can account work without re-deriving them every
+    step.  No :class:`~repro.bvram.machine.TraceEntry` objects are
+    allocated, and a closure that raises leaves its instruction uncharged.
+    """
+    labels = program.labels
+    plan: list[tuple] = []
+    for instr in program.instructions:
+        rw = instr.registers_read() + instr.registers_written()
+        if isinstance(instr, (isa.Goto, isa.GotoIfEmpty)):
+            plan.append((JUMP, _jump(instr, labels[instr.label]), rw))
+        elif isinstance(instr, isa.Halt):
+            plan.append((HALT, None, rw))
+        elif isinstance(instr, isa.Trap):
+            plan.append((TRAP, instr.message, rw))
+        else:
+            plan.append((STEP, instr.step(), rw))
+    return plan
+
+
+_TABLE_CACHE = PlanCache("_fast_plan", build_plan)
+
+
+def plan_for(program: isa.Program) -> list[tuple]:
+    """Build (or fetch the cached) op table for ``program``."""
+    return _TABLE_CACHE.lookup(program)
 
 
 def make_block(steps: list[tuple]) -> tuple:
@@ -125,20 +181,7 @@ def group_entries(program: isa.Program, base: list[tuple]):
 def jump_entry(program: isa.Program, base: list[tuple], first: int, entry_target) -> tuple:
     """The re-targeted ``(JUMP, fn, rw)`` plan entry for instruction ``first``."""
     instr = program.instructions[first]
-    target = entry_target(program.labels[instr.label])
-    rw = base[first][2]
-    if isinstance(instr, isa.Goto):
-
-        def jump(regs, target=target):
-            return target
-
-    else:  # GotoIfEmpty
-        src = instr.src
-
-        def jump(regs, target=target, src=src):
-            return target if regs[src].size == 0 else -1
-
-    return (JUMP, jump, rw)
+    return (JUMP, _jump(instr, entry_target(program.labels[instr.label])), base[first][2])
 
 
 def build_fused_plan(program: isa.Program) -> list[tuple]:
@@ -146,8 +189,7 @@ def build_fused_plan(program: isa.Program) -> list[tuple]:
 
     ``BLOCK`` entries carry ``(fused closure, instruction count)``; jump
     entries are re-targeted from instruction indices to fused-plan indices.
-    Entry kinds other than ``BLOCK`` keep the per-instruction plan's
-    payload/rw layout.
+    Entry kinds other than ``BLOCK`` keep the op table's payload/rw layout.
     """
     base = plan_for(program)
     groups, entry_target = group_entries(program, base)
@@ -159,7 +201,7 @@ def build_fused_plan(program: isa.Program) -> list[tuple]:
             plan.append((BLOCK, *make_block(steps)))
         elif kind == JUMP:
             plan.append(jump_entry(program, base, first, entry_target))
-        else:  # HALT / TRAP: keep the per-instruction payload
+        else:  # HALT / TRAP: keep the op table's payload
             plan.append((kind, base[first][1], base[first][2]))
     return plan
 

@@ -1,6 +1,6 @@
 """One fork-safe home for every lazily-built execution cache.
 
-Every plan cache (closure table, fused plan, vector plan, profiler metadata)
+Every plan cache (op table, fused plan, vector plan, profiler metadata)
 needs a lock that survives ``os.fork``; this module is the one
 implementation they share:
 
@@ -100,8 +100,8 @@ class PlanCache:
     a miss takes the cache's own :class:`ForkSafeLock`, re-checks, and
     builds at most once per program generation.
 
-    Nested lookups (the fused and vector builders call the closure-table
-    cache for the base plan) are safe because every cache has its *own* lock and the
+    Nested lookups (the fused and vector builders call the op-table cache
+    for the base plan) are safe because every cache has its *own* lock and the
     build dependencies are acyclic — the acquisition order is fixed by the
     builder chain, so plain non-reentrant locks suffice.
     """
@@ -116,12 +116,13 @@ class PlanCache:
     def _get(self, program):
         cached = getattr(program, self.attr, None)
         if cached is not None:
-            snapshot, plan = cached
+            instructions, labels, plan = cached
             # list ``==`` short-circuits on element *identity* before falling
             # back to value equality, so an untouched program costs one
             # C-level pointer scan — and a value-equal replacement (same
-            # instruction, new object) soundly keeps the plan
-            if snapshot == program.instructions:
+            # instruction, new object) soundly keeps the plan.  Jump targets
+            # are resolved at build, so a moved label is a new program too.
+            if instructions == program.instructions and labels == program.labels:
                 return plan
         return None
 
@@ -135,5 +136,5 @@ class PlanCache:
             if plan is not None:
                 return plan
             plan = self._build(program)
-            setattr(program, self.attr, (list(program.instructions), plan))
+            setattr(program, self.attr, (list(program.instructions), dict(program.labels), plan))
         return plan

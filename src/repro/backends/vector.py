@@ -38,11 +38,13 @@ generated source), and a raising instruction leaves ``t``/``w`` at the
 completed-prefix totals, reported through the shared ``partial`` cell —
 exactly the fused backend's protocol.  Blocks, plan indices, the dispatch
 loop (:func:`~repro.backends.base.run_plan`) and its ``max_steps`` mid-block
-fallback (driving the closure table) are shared with
-:mod:`repro.backends.fused`, so step budgets stop at the identical
-instruction.  What this tier pays for its faster blocks is the plan build:
-generating and ``exec``-ing the source cost 421 ms against the fused plan's
-4.9 ms on the benchmark's ``compile_sorts`` (``bench/out/baseline.json``).
+fallback are shared with :mod:`repro.backends.fused`: that fallback drives
+the op table's ``step()`` closures (:func:`~repro.backends.fused.plan_for`),
+so step budgets stop at the identical instruction.  The generated source
+spells each opcode once more, as text; the closures stay the semantics.
+What this tier pays for its faster blocks is the plan build: generating
+and ``exec``-ing the source cost 421 ms against the fused plan's 4.9 ms on
+the benchmark's ``compile_sorts`` (``bench/out/baseline.json``).
 """
 
 from __future__ import annotations
@@ -52,12 +54,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..bvram import isa
+from ..bvram import isa, kernels
 from ..bvram.errors import BVRAMError
-from . import kernels
 from .base import BLOCK, JUMP, Backend, register_backend, run_plan
-from .fused import group_entries, jump_entry
-from .interp import plan_for
+from .fused import group_entries, jump_entry, plan_for
 from .registry import PlanCache
 
 
@@ -481,8 +481,8 @@ def build_vector_plan(program: isa.Program) -> VectorPlan:
         first = idxs[0]
         if kind == BLOCK:
             fn = ns[block_names[gi]]
-            # run_plan drives the closure table through this attribute when
-            # the step budget expires mid-block (exact max_steps parity)
+            # run_plan drives the op table's closures through this attribute
+            # when the step budget expires mid-block (exact max_steps parity)
             fn.steps = tuple((base[j][1], base[j][2]) for j in idxs)
             entries.append((BLOCK, fn, len(idxs)))
         elif kind == JUMP:

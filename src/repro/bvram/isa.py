@@ -41,6 +41,15 @@ every instruction above needs only oblivious routing on a butterfly.
 
 Cost model: each executed instruction has parallel time 1 and work equal to
 the sum of the lengths of its input and output registers.
+
+Every class owns its meaning.  ``OPCODE`` (read through :attr:`opcode`,
+which appends the ``op`` of ``arith``/``un_arith``/``seg_*``) is the name a
+trace records, and each register op's ``step()`` returns the one
+``fn(regs)`` closure that executes it — on the traced reference
+(:mod:`repro.bvram.machine`) and in the ``fused`` tier alike.  A closure
+that raises has written nothing, so both leave the instruction uncharged.
+The four control-flow classes (``goto``, ``goto_if_empty``, ``halt``,
+``trap``) have no ``step()``: each loop follows them itself.
 """
 
 from __future__ import annotations
@@ -48,8 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .. import _fastpickle as fastpickle
 from .._fastpickle import FastSlotPickle
+from . import kernels
+from .errors import BVRAMError
 
 #: Version of the instruction set itself.  Part of the compile-cache key
 #: salt (:mod:`repro.cache.key`): any change to instruction semantics,
@@ -72,6 +85,14 @@ class Instruction(FastSlotPickle):
 
     __slots__ = ()
 
+    # every concrete class sets ``OPCODE``, its trace name
+
+    @property
+    def opcode(self) -> str:
+        """The trace name: ``OPCODE``, plus ``:op`` for the op-carrying classes."""
+        op = getattr(self, "op", None)
+        return self.OPCODE if op is None else f"{self.OPCODE}:{op}"
+
     def registers_read(self) -> tuple[int, ...]:
         return ()
 
@@ -83,6 +104,8 @@ class Instruction(FastSlotPickle):
 class Move(Instruction):
     """``V[dst] <- V[src]``."""
 
+    OPCODE = "move"
+
     dst: int
     src: int
 
@@ -92,10 +115,21 @@ class Move(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        # No BVRAM instruction mutates a register's array in place (every
+        # kernel allocates its output), so a move can alias instead of
+        # copying — a list rebind, not a memcpy per phi move.
+        def step(regs, dst=self.dst, src=self.src):
+            regs[dst] = regs[src]
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class Arith(Instruction):
     """``V[dst] <- V[a] op V[b]`` elementwise; both operands must have equal length."""
+
+    OPCODE = "arith"
 
     dst: int
     op: str
@@ -112,20 +146,43 @@ class Arith(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        fn = kernels.ARITH_KERNELS[self.op]  # op already validated by __post_init__
+
+        def step(regs, dst=self.dst, op=self.op, a=self.a, b=self.b, fn=fn):
+            va, vb = regs[a], regs[b]
+            if va.shape != vb.shape:
+                raise BVRAMError(
+                    f"arith {op}: operands have different lengths {va.size} and {vb.size}"
+                )
+            regs[dst] = fn(va, vb)
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class LoadEmpty(Instruction):
     """``V[dst] <- []``."""
+
+    OPCODE = "load_empty"
 
     dst: int
 
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        def step(regs, dst=self.dst):
+            regs[dst] = np.zeros(0, dtype=np.int64)
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class LoadConst(Instruction):
     """``V[dst] <- [value]``."""
+
+    OPCODE = "load_const"
 
     dst: int
     value: int
@@ -133,10 +190,27 @@ class LoadConst(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        if self.value < 0:
+            # traps when executed, uncharged — not at plan build, which would
+            # refuse programs that never reach it
+
+            def step(regs):
+                raise BVRAMError("load_const: BVRAM registers hold natural numbers")
+
+            return step
+
+        def step(regs, dst=self.dst, arr=np.array([self.value], dtype=np.int64)):
+            regs[dst] = arr.copy()
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class AppendI(Instruction):
     """``V[dst] <- V[a] @ V[b]``."""
+
+    OPCODE = "append"
 
     dst: int
     a: int
@@ -148,10 +222,18 @@ class AppendI(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        def step(regs, dst=self.dst, a=self.a, b=self.b):
+            regs[dst] = np.concatenate([regs[a], regs[b]])
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class LengthI(Instruction):
     """``V[dst] <- [length(V[src])]``."""
+
+    OPCODE = "length"
 
     dst: int
     src: int
@@ -161,12 +243,20 @@ class LengthI(Instruction):
 
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
+
+    def step(self):
+        def step(regs, dst=self.dst, src=self.src):
+            regs[dst] = np.array([regs[src].size], dtype=np.int64)
+
+        return step
 
 
 @dataclass(frozen=True, slots=True)
 class EnumerateI(Instruction):
     """``V[dst] <- [0, 1, ..., length(V[src]) - 1]``."""
 
+    OPCODE = "enumerate"
+
     dst: int
     src: int
 
@@ -175,6 +265,12 @@ class EnumerateI(Instruction):
 
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
+
+    def step(self):
+        def step(regs, dst=self.dst, src=self.src):
+            regs[dst] = np.arange(regs[src].size, dtype=np.int64)
+
+        return step
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +281,8 @@ class BmRoute(Instruction):
     times from ``V[counts]``; the result must match ``V[bound]`` in length
     (``V[bound], V[counts]`` form a nested sequence).
     """
+
+    OPCODE = "bm_route"
 
     dst: int
     data: int
@@ -197,6 +295,12 @@ class BmRoute(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        def step(regs, dst=self.dst, data=self.data, counts=self.counts, bound=self.bound):
+            regs[dst] = kernels.bm_route_vec(regs[data], regs[counts], regs[bound])
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class SbmRoute(Instruction):
@@ -207,6 +311,8 @@ class SbmRoute(Instruction):
     output.  With singleton ``counts``/``segments`` this computes a cartesian
     product (Section 2).
     """
+
+    OPCODE = "sbm_route"
 
     dst: int
     bound: int
@@ -220,10 +326,25 @@ class SbmRoute(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        def step(
+            regs,
+            dst=self.dst,
+            bound=self.bound,
+            counts=self.counts,
+            data=self.data,
+            segments=self.segments,
+        ):
+            regs[dst] = kernels.sbm_route_vec(regs[bound], regs[counts], regs[data], regs[segments])
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class Select(Instruction):
     """``V[dst] <- sigma(V[src])`` — pack the non-zero values of ``V[src]``."""
+
+    OPCODE = "select"
 
     dst: int
     src: int
@@ -234,10 +355,19 @@ class Select(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        def step(regs, dst=self.dst, src=self.src):
+            v = regs[src]
+            regs[dst] = v[v != 0]
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class UnArith(Instruction):
     """``V[dst] <- op(V[src])`` elementwise; ``op`` in {log2, sqrt}."""
+
+    OPCODE = "un_arith"
 
     dst: int
     op: str
@@ -253,6 +383,12 @@ class UnArith(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        def step(regs, dst=self.dst, op=self.op, src=self.src):
+            regs[dst] = kernels.un_arith(op, regs[src])
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class FlagMerge(Instruction):
@@ -263,6 +399,8 @@ class FlagMerge(Instruction):
     ``len(a) + len(b) == len(flags)`` and ``len(a) ==`` the number of non-zero
     flags.  Order-preserving and oblivious (a monotone route).
     """
+
+    OPCODE = "flag_merge"
 
     dst: int
     flags: int
@@ -275,6 +413,12 @@ class FlagMerge(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        def step(regs, dst=self.dst, flags=self.flags, a=self.a, b=self.b):
+            regs[dst] = kernels.flag_merge_vec(regs[flags], regs[a], regs[b])
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class SegScan(Instruction):
@@ -285,6 +429,8 @@ class SegScan(Instruction):
     ``sum(segments) == len(data)``.
     """
 
+    OPCODE = "seg_scan"
+
     dst: int
     op: str
     data: int
@@ -299,6 +445,12 @@ class SegScan(Instruction):
 
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
+
+    def step(self):
+        def step(regs, dst=self.dst, op=self.op, data=self.data, segments=self.segments):
+            regs[dst] = kernels.seg_scan_vec(op, regs[data], regs[segments])
+
+        return step
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,6 +461,8 @@ class SegReduce(Instruction):
     ``sum(segments) == len(data)``.
     """
 
+    OPCODE = "seg_reduce"
+
     dst: int
     op: str
     data: int
@@ -324,10 +478,18 @@ class SegReduce(Instruction):
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 
+    def step(self):
+        def step(regs, dst=self.dst, op=self.op, data=self.data, segments=self.segments):
+            regs[dst] = kernels.seg_reduce_vec(op, regs[data], regs[segments])
+
+        return step
+
 
 @dataclass(frozen=True, slots=True)
 class Trap(Instruction):
     """Raise ``BVRAMError(message)`` — the compiled form of an undefined result."""
+
+    OPCODE = "trap"
 
     message: str = "undefined BVRAM result"
 
@@ -336,12 +498,16 @@ class Trap(Instruction):
 class Goto(Instruction):
     """Unconditional jump to ``label``."""
 
+    OPCODE = "goto"
+
     label: str
 
 
 @dataclass(frozen=True, slots=True)
 class GotoIfEmpty(Instruction):
     """Jump to ``label`` iff ``V[src]`` currently holds the empty sequence."""
+
+    OPCODE = "goto_if_empty"
 
     label: str
     src: int
@@ -353,6 +519,8 @@ class GotoIfEmpty(Instruction):
 @dataclass(frozen=True, slots=True)
 class Halt(Instruction):
     """Stop the program."""
+
+    OPCODE = "halt"
 
 
 #: register-index fields per instruction class — the structural companion to

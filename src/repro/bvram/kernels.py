@@ -1,10 +1,11 @@
-"""The per-op vector kernels and overflow guards, shared by every backend.
+"""The per-op vector kernels and overflow guards, shared by every tier.
 
-One definition per BVRAM operation, used by the traced interpreter loop, the
-per-op closure table the ``fused`` superinstructions group, and the
-generated code of the ``vector`` backend.  They sit below the machine so the
-backends can import them without a cycle (``bvram.errors <- backends.kernels
-<- bvram.machine``).
+One definition per BVRAM operation.  The ``step()`` closures of the
+instruction classes (:mod:`repro.bvram.isa`) call them, so the traced
+reference and the ``fused`` tier run the same code; the generated source of
+the ``vector`` backend calls them too.  They sit in the machine's own layer,
+importing only :mod:`repro.bvram.errors`, so the ISA imports them without a
+cycle in any package-entry order.
 
 Semantics are exactly the Section 2 machine's:
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bvram.errors import BVRAMError
+from .errors import BVRAMError
 
 #: registers hold naturals strictly below this (signed int64 width)
 INT64_LIMIT = 2**63
@@ -87,7 +88,7 @@ def arith_shr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b >= 63, 0, a >> np.minimum(b, 62))
 
 
-#: per-op binary kernels, shared by every backend's emission of ``arith``
+#: per-op binary kernels, shared by ``Arith.step`` and the vector backend
 ARITH_KERNELS = {
     "+": arith_add,
     "-": arith_sub,
@@ -101,15 +102,6 @@ ARITH_KERNELS = {
     "le": lambda a, b: (a <= b).astype(np.int64),
     "lt": lambda a, b: (a < b).astype(np.int64),
 }
-
-
-def arith(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    fn = ARITH_KERNELS.get(op)
-    if fn is None:
-        raise BVRAMError(f"unknown arithmetic op {op!r}")
-    if a.shape != b.shape:
-        raise BVRAMError(f"arith {op}: operands have different lengths {a.size} and {b.size}")
-    return fn(a, b)
 
 
 def un_arith(op: str, a: np.ndarray) -> np.ndarray:

@@ -22,9 +22,13 @@ Execution has two modes:
   read and written registers — which ``tests/test_optimize.py``,
   ``tests/test_backends.py`` and ``tests/test_batch.py`` pin.
 
-The traced loop below is the reference every backend is compared against;
-the per-op vector kernels it calls live in :mod:`repro.backends.kernels`,
-shared with the backends.
+The traced loop below is the reference every backend is compared against.
+It runs the op table: the same cached per-instruction entries the ``fused``
+tier groups into blocks (:func:`repro.backends.fused.plan_for`), each
+register op's closure built by its class's ``step()`` in
+:mod:`repro.bvram.isa`.  What it keeps to itself is the accounting —
+``_charge`` sums every executed instruction's registers and records its
+``opcode`` — so its totals never depend on ``run_plan``'s block accounting.
 """
 
 from __future__ import annotations
@@ -36,21 +40,6 @@ import numpy as np
 
 from . import isa
 from .errors import BVRAMError
-
-# ``repro.backends.kernels`` is a leaf module (it imports only
-# ``repro.bvram.errors``), so this import is cycle-free in either
-# package-entry order.  ``repro.backends.base`` is NOT — it is mid-execution
-# when ``import repro.backends`` reaches this module — so backend resolution
-# below is imported lazily at call time.
-from ..backends.kernels import (
-    arith as _arith,
-    bm_route_vec,
-    flag_merge_vec,
-    sbm_route_vec,
-    seg_reduce_vec,
-    seg_scan_vec,
-    un_arith as _un_arith,
-)
 
 
 @dataclass(frozen=True)
@@ -127,15 +116,15 @@ class BVRAM:
         return self.registers[i]
 
     # -- execution ----------------------------------------------------------
-    def _charge(self, opcode: str, instr: isa.Instruction, extra: int = 0) -> None:
-        work = extra
+    def _charge(self, instr: isa.Instruction) -> None:
+        work = 0
         for r in instr.registers_read():
             work += int(self.registers[r].size)
         for r in instr.registers_written():
             work += int(self.registers[r].size)
         self.time += 1
         self.work += work
-        self.trace.append(TraceEntry(opcode, work))
+        self.trace.append(TraceEntry(instr.opcode, work))
 
     def run(
         self,
@@ -173,6 +162,7 @@ class BVRAM:
         self.time = 0
         self.work = 0
         self.trace = []
+        # ``repro.backends`` imports this package, so it is imported at call time
         if not record_trace:
             from ..backends.base import resolve_backend
 
@@ -184,116 +174,35 @@ class BVRAM:
                 work=self.work,
                 trace=[],
             )
+        from ..backends.base import HALT, JUMP, STEP, step_budget_error
+        from ..backends.fused import plan_for
+
+        plan = plan_for(program)
+        code = program.instructions
+        regs = self.registers
         pc = 0
         steps = 0
-        code = program.instructions
         while pc < len(code):
             if steps >= max_steps:
-                raise BVRAMError(f"exceeded {max_steps} steps (non-terminating program?)")
+                raise step_budget_error(max_steps)
             steps += 1
             instr = code[pc]
+            kind, payload, _ = plan[pc]
             pc += 1
-
-            if isinstance(instr, isa.Halt):
-                self._charge("halt", instr)
+            if kind == STEP:
+                payload(regs)
+                self._charge(instr)
+            elif kind == JUMP:
+                self._charge(instr)
+                target = payload(regs)
+                if target >= 0:
+                    pc = target
+            elif kind == HALT:
+                self._charge(instr)
                 break
-            if isinstance(instr, isa.Goto):
-                self._charge("goto", instr)
-                pc = program.labels[instr.label]
-                continue
-            if isinstance(instr, isa.GotoIfEmpty):
-                self._charge("goto_if_empty", instr)
-                if self.registers[instr.src].size == 0:
-                    pc = program.labels[instr.label]
-                continue
-            if isinstance(instr, isa.Move):
-                self.registers[instr.dst] = self.registers[instr.src].copy()
-                self._charge("move", instr)
-                continue
-            if isinstance(instr, isa.Arith):
-                self.registers[instr.dst] = _arith(
-                    instr.op, self.registers[instr.a], self.registers[instr.b]
-                )
-                self._charge(f"arith:{instr.op}", instr)
-                continue
-            if isinstance(instr, isa.LoadEmpty):
-                self.registers[instr.dst] = np.zeros(0, dtype=np.int64)
-                self._charge("load_empty", instr)
-                continue
-            if isinstance(instr, isa.LoadConst):
-                if instr.value < 0:
-                    raise BVRAMError("load_const: BVRAM registers hold natural numbers")
-                self.registers[instr.dst] = np.array([instr.value], dtype=np.int64)
-                self._charge("load_const", instr)
-                continue
-            if isinstance(instr, isa.AppendI):
-                self.registers[instr.dst] = np.concatenate(
-                    [self.registers[instr.a], self.registers[instr.b]]
-                )
-                self._charge("append", instr)
-                continue
-            if isinstance(instr, isa.LengthI):
-                self.registers[instr.dst] = np.array(
-                    [self.registers[instr.src].size], dtype=np.int64
-                )
-                self._charge("length", instr)
-                continue
-            if isinstance(instr, isa.EnumerateI):
-                self.registers[instr.dst] = np.arange(
-                    self.registers[instr.src].size, dtype=np.int64
-                )
-                self._charge("enumerate", instr)
-                continue
-            if isinstance(instr, isa.BmRoute):
-                self.registers[instr.dst] = bm_route_vec(
-                    self.registers[instr.data],
-                    self.registers[instr.counts],
-                    self.registers[instr.bound],
-                )
-                self._charge("bm_route", instr)
-                continue
-            if isinstance(instr, isa.SbmRoute):
-                self.registers[instr.dst] = sbm_route_vec(
-                    self.registers[instr.bound],
-                    self.registers[instr.counts],
-                    self.registers[instr.data],
-                    self.registers[instr.segments],
-                )
-                self._charge("sbm_route", instr)
-                continue
-            if isinstance(instr, isa.Select):
-                src = self.registers[instr.src]
-                self.registers[instr.dst] = src[src != 0]
-                self._charge("select", instr)
-                continue
-            if isinstance(instr, isa.UnArith):
-                self.registers[instr.dst] = _un_arith(instr.op, self.registers[instr.src])
-                self._charge(f"un_arith:{instr.op}", instr)
-                continue
-            if isinstance(instr, isa.FlagMerge):
-                self.registers[instr.dst] = flag_merge_vec(
-                    self.registers[instr.flags],
-                    self.registers[instr.a],
-                    self.registers[instr.b],
-                )
-                self._charge("flag_merge", instr)
-                continue
-            if isinstance(instr, isa.SegScan):
-                self.registers[instr.dst] = seg_scan_vec(
-                    instr.op, self.registers[instr.data], self.registers[instr.segments]
-                )
-                self._charge(f"seg_scan:{instr.op}", instr)
-                continue
-            if isinstance(instr, isa.SegReduce):
-                self.registers[instr.dst] = seg_reduce_vec(
-                    instr.op, self.registers[instr.data], self.registers[instr.segments]
-                )
-                self._charge(f"seg_reduce:{instr.op}", instr)
-                continue
-            if isinstance(instr, isa.Trap):
-                self._charge("trap", instr)
-                raise BVRAMError(instr.message)
-            raise BVRAMError(f"unknown instruction {instr!r}")
+            else:  # TRAP: the payload is the message
+                self._charge(instr)
+                raise BVRAMError(payload)
 
         return RunResult(
             registers=[r.copy() for r in self.registers],

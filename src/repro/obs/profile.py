@@ -4,16 +4,17 @@ The backends report only run *totals*; this module attributes them.  It
 owns no dispatch loop: a profiled run executes the program's **normal
 cached plan** (the very closures/generated blocks a plain run dispatches)
 through the backends' one loop, :func:`repro.backends.base.run_plan`, with
-every callable payload — block, jump, and the per-step closures behind a
-block's ``.steps`` — wrapped to record, per plan entry: hit count, wall
-time, and the exact ``(t, w)`` the payload hands the loop (returned, left in
-``partial`` when a block raises mid-stream, or charged step by step in the
-``max_steps`` mid-block fallback).  The one charge the loop makes without a
-call, the final ``halt``/``trap`` unit, is attributed from the exit ``pc``
-the loop records.  Nothing here depends on which backend built the plan, so
-every registered tier is profilable, and the per-entry sums equal the
-machine totals on every exit path (``tests/test_obs.py`` pins it over the
-differential battery).
+every callable payload — block, jump, and the op-table closures
+(:func:`repro.backends.fused.plan_for`, each built by an instruction's
+``step()``) behind a block's ``.steps`` — wrapped to record, per plan
+entry: hit count, wall time, and the exact ``(t, w)`` the payload hands the
+loop (returned, left in ``partial`` when a block raises mid-stream, or
+charged step by step in the ``max_steps`` mid-block fallback).  The one
+charge the loop makes without a call, the final ``halt``/``trap`` unit, is
+attributed from the exit ``pc`` the loop records.  Nothing here depends on
+which backend built the plan, so every registered tier is profilable, and
+the per-entry sums equal the machine totals on every exit path
+(``tests/test_obs.py`` pins it over the differential battery).
 
 Profiling is opt-in per run: plain runs pass no ``instrument`` hook and pay
 nothing, and the profiler's own derived state — the block grouping and the
@@ -42,8 +43,7 @@ from typing import Optional
 import numpy as np
 
 from ..backends.base import BLOCK, HALT, JUMP, TRAP, format_listing, resolve_backend
-from ..backends.fused import group_entries
-from ..backends.interp import plan_for
+from ..backends.fused import group_entries, plan_for
 from ..backends.registry import PlanCache
 from ..bvram.errors import BVRAMError
 from ..bvram.machine import BVRAM

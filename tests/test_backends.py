@@ -37,7 +37,6 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.backends import fused as fused_mod
-from repro.backends import interp as interp_mod
 from repro.backends import vector as vector_mod
 from repro.bvram import BVRAM, BVRAMError
 from repro.bvram.isa import (
@@ -343,6 +342,21 @@ def test_negative_load_const_traps_only_when_executed():
     assert message == "load_const: BVRAM registers hold natural numbers"
 
 
+def test_moved_label_rebuilds_every_plan():
+    # jump targets are resolved when a plan is built, so the plan caches
+    # must treat a relabelled program as a new one — the traced reference
+    # walks the same cached op table as the tiers
+    p = Program(
+        instructions=[Goto("a"), LoadConst(0, 1), Halt(), LoadConst(0, 2), Halt()],
+        labels={"a": 1},
+        n_registers=1,
+        n_inputs=0,
+    )
+    assert _assert_all_backends_agree(p, [])[-1] == [[1]]
+    p.labels["a"] = 3
+    assert _assert_all_backends_agree(p, [])[-1] == [[2]]
+
+
 def test_vector_machine_reuse_reinitialises_bounds():
     # the second run on the SAME machine must rebuild bounds from the
     # leftover register contents, not trust stale ones
@@ -377,7 +391,7 @@ def _affine_fn():
 )
 def test_fork_resets_every_registered_cache_lock():
     locks = [
-        interp_mod._CACHE._lock,
+        fused_mod._TABLE_CACHE._lock,
         fused_mod._CACHE._lock,
         vector_mod._CACHE._lock,
     ]

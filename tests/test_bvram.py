@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import oracles as O
-from repro.backends.kernels import bm_route_vec, sbm_route_vec
+from repro.bvram.kernels import bm_route_vec, sbm_route_vec
 from repro.bvram import BVRAM, BVRAMError, run_program
 from repro.bvram import isa
 from repro.bvram.programs import (

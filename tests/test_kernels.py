@@ -1,18 +1,31 @@
-"""The vector kernels as host code: a constant number of NumPy passes each.
+"""The op table, row by row: every opcode's value, charge, trap and cost.
 
-Section 2 charges an instruction one unit of ``T'`` whatever its registers
-hold, and the host model fitted on top of it is ``wall ~ alpha*T' + beta*W'``
-(``repro.obs.costcheck``).  A kernel that loops over *segments* in Python adds
-a third term the model cannot see, and the compiler's closure broadcast hands
-``sbm_route`` one segment per element.  So the table below runs **every**
-opcode through the traced reference machine and both tiers and requires the
-profiled Python-level call count at 10 segments to equal the count at 10 000;
-a second test checks that those runs reach every function ``kernels.py``
-defines, so a new kernel cannot stay outside the table.
+Every BVRAM instruction class owns one ``step()`` closure
+(:mod:`repro.bvram.isa`) that the traced reference and the ``fused`` tier
+both run, while the ``vector`` tier spells each opcode again as generated
+source.  The table below runs **every** opcode through all three engines:
+
+* each row's destination register must equal a NumPy one-liner written
+  independently of the kernels, with ``T'``/``W'`` as Section 2 charges
+  them; a trapping row must raise the same message and leave the same
+  uncharged prefix on every engine;
+* a traced run records the row's name as its opcode, the name the Brent
+  and butterfly replays read;
+* as host code, each kernel is a constant number of NumPy passes: Section 2
+  charges an instruction one unit of ``T'`` whatever its registers hold,
+  and the host model fitted on top of it is ``wall ~ alpha*T' + beta*W'``
+  (``repro.obs.costcheck``).  A kernel that loops over *segments* in Python
+  adds a third term the model cannot see, and the compiler's closure
+  broadcast hands ``sbm_route`` one segment per element.  So the profiled
+  Python-level call count at 10 segments must equal the count at 10 000,
+  and the runs must reach every function ``kernels.py`` defines, so a new
+  kernel cannot stay outside the table.
 
 Also here: the three-way differential of ``sbm_route_vec`` against its two
 readable oracles (``KERNEL_EXAMPLES`` sets the hypothesis budget; the nightly
-job raises it), and the register invariant its docstring relies on.
+job raises it), the register invariant its docstring relies on, and a fresh
+interpreter importing each package entry point, so the kernels' place below
+the ISA stays free of import cycles.
 """
 
 from __future__ import annotations
@@ -20,7 +33,10 @@ from __future__ import annotations
 import cProfile
 import inspect
 import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -28,8 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import oracles as O
-from repro.backends import kernels
-from repro.bvram import BVRAM, BVRAMError, isa
+from repro.bvram import BVRAM, BVRAMError, isa, kernels
 from repro.compiler import CompileError, compile_nsc
 from repro.compiler.codegen import encode_inputs
 from repro.nsc import builder as B
@@ -44,8 +59,8 @@ ENGINES = ("reference", "fused", "vector")
 # The table: one row per opcode, sized by a segment count
 # ---------------------------------------------------------------------------
 
-DATA, SEGS, COUNTS, BOUND, FLAGS, BIG_A, BIG_B = range(7)
-DST = 7
+DATA, SEGS, COUNTS, BOUND, FLAGS, BIG_A, BIG_B, ODDS = range(8)
+DST = 8
 
 
 def _registers(nseg: int) -> list[np.ndarray]:
@@ -63,14 +78,68 @@ def _registers(nseg: int) -> list[np.ndarray]:
         np.tile(np.array([1, 1, 1, 0, 0], dtype=np.int64), nseg),  # FLAGS
         big_a,
         big_b,
+        np.arange(3 * nseg, dtype=np.int64) % 7 * 2 + 1,  # ODDS: the second arith operand
     ]
+
+
+def _by_segment(v: np.ndarray) -> np.ndarray:
+    """A three-element-per-segment register as one row per segment."""
+    return v.reshape(-1, 3)
+
+
+#: the binary ops against NumPy on (DATA, ODDS), written without the kernels
+_ARITH = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: np.maximum(a - b, 0),
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a // b,
+    "mod": lambda a, b: a % b,
+    ">>": lambda a, b: a >> b,
+    "min": np.minimum,
+    "max": np.maximum,
+    "eq": lambda a, b: (a == b).astype(np.int64),
+    "le": lambda a, b: (a <= b).astype(np.int64),
+    "lt": lambda a, b: (a < b).astype(np.int64),
+}
+
+_UN_ARITH = {
+    "log2": lambda a: np.floor(np.log2(a)).astype(np.int64),
+    "sqrt": lambda a: np.floor(np.sqrt(a)).astype(np.int64),
+}
+
+_SEG_SCAN = {
+    "+": lambda r: (np.cumsum(_by_segment(r[DATA]), axis=1) - _by_segment(r[DATA])).ravel(),
+    "max": lambda r: np.pad(
+        np.maximum.accumulate(_by_segment(r[DATA]), axis=1)[:, :-1], ((0, 0), (1, 0))
+    ).ravel(),
+}
+
+_SEG_REDUCE = {
+    "+": lambda r: _by_segment(r[DATA]).sum(axis=1),
+    "max": lambda r: _by_segment(r[DATA]).max(axis=1),
+}
+
+def _untouched(registers: list) -> np.ndarray:
+    """DST keeps the empty vector a fresh machine starts with."""
+    return np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class Row:
-    name: str  # the opcode as the trace spells it
+    name: str  # the opcode as the trace spells it, then an optional note
     instr: isa.Instruction
-    traps: bool = False
+    #: the destination register from the inputs, or None for a trapping row
+    expect: Optional[Callable[[list], np.ndarray]] = None
+    #: the trap message of a trapping row
+    error: Optional[str] = None
+
+    @property
+    def traps(self) -> bool:
+        return self.error is not None
+
+    @property
+    def opcode(self) -> str:
+        return self.name.split()[0]
 
     def program(self) -> isa.Program:
         # every jump in the table targets the halt that follows it
@@ -81,28 +150,75 @@ class Row:
             n_inputs=DST,
         )
 
+    def charge(self, registers: list) -> tuple[int, int]:
+        """``(T', W')`` of the row's program: 1 per instruction executed, plus
+        the lengths of the registers each one reads and writes (``halt`` none).
+        A raising instruction is not charged; ``trap`` is, before it raises."""
+        if self.traps:
+            return (1, 0) if isinstance(self.instr, isa.Trap) else (0, 0)
+        work = sum(registers[r].size for r in self.instr.registers_read())
+        work += sum(self.expect(registers).size for _ in self.instr.registers_written())
+        return (1 if isinstance(self.instr, isa.Halt) else 2), work
+
 
 ROWS = [
-    *(Row(f"arith:{op}", isa.Arith(DST, op, DATA, DATA)) for op in isa.ARITH_OPS),
-    Row("arith:+ guarded", isa.Arith(DST, "+", BIG_A, BIG_B)),
-    Row("arith:* guarded", isa.Arith(DST, "*", BIG_A, BIG_B)),
-    *(Row(f"un_arith:{op}", isa.UnArith(DST, op, DATA)) for op in isa.UN_ARITH_OPS),
-    Row("move", isa.Move(DST, DATA)),
-    Row("load_empty", isa.LoadEmpty(DST)),
-    Row("load_const", isa.LoadConst(DST, 7)),
-    Row("append", isa.AppendI(DST, DATA, BOUND)),
-    Row("length", isa.LengthI(DST, DATA)),
-    Row("enumerate", isa.EnumerateI(DST, DATA)),
-    Row("select", isa.Select(DST, FLAGS)),
-    Row("flag_merge", isa.FlagMerge(DST, FLAGS, DATA, BOUND)),
-    Row("bm_route", isa.BmRoute(DST, data=SEGS, counts=COUNTS, bound=BOUND)),
-    Row("sbm_route", isa.SbmRoute(DST, bound=BOUND, counts=COUNTS, data=DATA, segments=SEGS)),
-    *(Row(f"seg_scan:{op}", isa.SegScan(DST, op, DATA, SEGS)) for op in isa.SEG_OPS),
-    *(Row(f"seg_reduce:{op}", isa.SegReduce(DST, op, DATA, SEGS)) for op in isa.SEG_OPS),
-    Row("goto", isa.Goto("end")),
-    Row("goto_if_empty", isa.GotoIfEmpty("end", DATA)),
-    Row("halt", isa.Halt()),
-    Row("trap", isa.Trap("undefined"), traps=True),
+    *(
+        Row(f"arith:{op}", isa.Arith(DST, op, DATA, ODDS), lambda r, f=f: f(r[DATA], r[ODDS]))
+        for op, f in _ARITH.items()
+    ),
+    Row("arith:+ guarded", isa.Arith(DST, "+", BIG_A, BIG_B), lambda r: r[BIG_A] + r[BIG_B]),
+    Row("arith:* guarded", isa.Arith(DST, "*", BIG_A, BIG_B), lambda r: r[BIG_A] * r[BIG_B]),
+    Row(
+        "arith:+ unequal lengths",
+        isa.Arith(DST, "+", DATA, BOUND),
+        error="arith +: operands have different lengths {n3} and {n2}",
+    ),
+    Row("arith:/ by zero", isa.Arith(DST, "/", BOUND, BOUND), error="division by zero"),
+    *(
+        Row(f"un_arith:{op}", isa.UnArith(DST, op, DATA), lambda r, f=f: f(r[DATA]))
+        for op, f in _UN_ARITH.items()
+    ),
+    Row("move", isa.Move(DST, DATA), lambda r: r[DATA]),
+    Row("load_empty", isa.LoadEmpty(DST), lambda r: np.zeros(0, dtype=np.int64)),
+    Row("load_const", isa.LoadConst(DST, 7), lambda r: np.array([7])),
+    Row(
+        "load_const negative",
+        isa.LoadConst(DST, -1),
+        error="load_const: BVRAM registers hold natural numbers",
+    ),
+    Row("append", isa.AppendI(DST, DATA, BOUND), lambda r: np.concatenate([r[DATA], r[BOUND]])),
+    Row("length", isa.LengthI(DST, DATA), lambda r: np.array([r[DATA].size])),
+    Row("enumerate", isa.EnumerateI(DST, DATA), lambda r: np.arange(r[DATA].size)),
+    Row("select", isa.Select(DST, FLAGS), lambda r: r[FLAGS][r[FLAGS] != 0]),
+    Row(
+        "flag_merge",
+        isa.FlagMerge(DST, FLAGS, DATA, BOUND),
+        # FLAGS is 1 1 1 0 0 per segment: three DATA values, then two BOUND ones
+        lambda r: np.hstack([_by_segment(r[DATA]), r[BOUND].reshape(-1, 2)]).ravel(),
+    ),
+    Row(
+        "bm_route",
+        isa.BmRoute(DST, data=SEGS, counts=COUNTS, bound=BOUND),
+        lambda r: np.repeat(r[SEGS], r[COUNTS]),
+    ),
+    Row(
+        "sbm_route",
+        isa.SbmRoute(DST, bound=BOUND, counts=COUNTS, data=DATA, segments=SEGS),
+        # every segment of three written twice in a row
+        lambda r: np.tile(_by_segment(r[DATA]), 2).ravel(),
+    ),
+    *(
+        Row(f"seg_scan:{op}", isa.SegScan(DST, op, DATA, SEGS), f)
+        for op, f in _SEG_SCAN.items()
+    ),
+    *(
+        Row(f"seg_reduce:{op}", isa.SegReduce(DST, op, DATA, SEGS), f)
+        for op, f in _SEG_REDUCE.items()
+    ),
+    Row("goto", isa.Goto("end"), _untouched),
+    Row("goto_if_empty", isa.GotoIfEmpty("end", DATA), _untouched),
+    Row("halt", isa.Halt(), _untouched),
+    Row("trap", isa.Trap("undefined"), error="undefined"),
 ]
 
 #: the one kernel that still loops over segments, and why it stays:
@@ -118,13 +234,45 @@ def _engine_kwargs(engine: str) -> dict:
     return {} if engine == "reference" else {"record_trace": False, "backend": engine}
 
 
-def _run(row: Row, program: isa.Program, registers: list, engine: str) -> None:
+def _run(row: Row, program: isa.Program, registers: list, engine: str) -> BVRAM:
+    """Run ``row`` on a fresh machine, which it returns (totals, registers, trace)."""
+    machine = BVRAM(program.n_registers)
     try:
-        BVRAM(program.n_registers).run(program, registers, **_engine_kwargs(engine))
+        machine.run(program, registers, **_engine_kwargs(engine))
     except BVRAMError:
         assert row.traps
     else:
         assert not row.traps
+    return machine
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+def test_row_value_charge_and_trap(row, engine):
+    registers = _registers(4)
+    program = row.program()
+    machine = BVRAM(program.n_registers)
+    if row.traps:
+        with pytest.raises(BVRAMError) as err:
+            machine.run(program, registers, **_engine_kwargs(engine))
+        assert str(err.value) == row.error.format(
+            n3=registers[DATA].size, n2=registers[BOUND].size
+        )
+    else:
+        dst = machine.run(program, registers, **_engine_kwargs(engine)).registers[DST]
+        assert dst.dtype == np.int64
+        assert dst.tolist() == row.expect(registers).tolist()
+    assert (machine.time, machine.work) == row.charge(registers)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+def test_traced_run_records_the_row_name(row):
+    assert row.instr.opcode == row.opcode
+    trace = _run(row, row.program(), _registers(4), "reference").trace
+    if row.traps and not isinstance(row.instr, isa.Trap):
+        assert trace == []  # the raising instruction is not charged
+    else:
+        assert trace[0].opcode == row.opcode
 
 
 def _profile(fn) -> list:
@@ -162,6 +310,10 @@ def test_call_count_does_not_depend_on_the_segment_count(row, engine):
     assert _calls(row, program, 10, engine) == _calls(row, program, 10_000, engine)
 
 
+#: the control-flow classes each loop follows itself; every other class has a step()
+CONTROL = {isa.Goto, isa.GotoIfEmpty, isa.Halt, isa.Trap}
+
+
 def test_table_covers_every_opcode():
     instruction_classes = {
         v
@@ -169,6 +321,9 @@ def test_table_covers_every_opcode():
         if isinstance(v, type) and issubclass(v, isa.Instruction) and v is not isa.Instruction
     }
     assert {type(row.instr) for row in ROWS} == instruction_classes
+    assert all("OPCODE" in vars(cls) for cls in instruction_classes)
+    assert all("step" in vars(cls) for cls in instruction_classes - CONTROL)
+    assert not any(hasattr(cls, "step") for cls in CONTROL)
     names = {row.name for row in ROWS}
     assert names >= {
         *(f"arith:{op}" for op in isa.ARITH_OPS),
@@ -286,3 +441,23 @@ def test_no_public_entry_puts_a_negative_into_a_register():
     with pytest.raises((CompileError, ValueError)):
         prog.run([3, -1])
     assert isinstance(prog.run_batch([[3, -1], [4]], return_exceptions=True)[0], Exception)
+
+
+# ---------------------------------------------------------------------------
+# The kernels' layer: no import cycle in any package-entry order
+# ---------------------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.bvram.isa", "repro.bvram", "repro.backends", "repro.compiler", "repro.serving"],
+)
+def test_each_entry_module_imports_first_in_a_fresh_interpreter(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
