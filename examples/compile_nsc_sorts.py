@@ -7,7 +7,8 @@ The full Section 4 + Section 7 chain on the paper's flagship algorithms:
 
 Both sorts run through the interpreter (Definition 3.1 costs ``T, W``) and
 through the compiled machine (``T', W'`` per the Section 2 instruction
-costs), for several ``eps``; the table shows the measured constants behind
+costs; ``prog.run`` executes untraced, on the one ``fused`` tier), for
+several ``eps``; the table shows the measured constants behind
 ``T' = O(T)`` and ``W' = O(W^(1+eps))``.
 
 Run:  python examples/compile_nsc_sorts.py
@@ -69,7 +70,7 @@ def main(n: int = 24, seed: int = 1234, eps_values=(1.0, 0.5, 0.25)) -> None:
         "\nBoth sorts produce the interpreter's exact output on the machine;\n"
         "T'/T and W'/W are the measured constants of Theorem 7.1 (the deep\n"
         "recursion tree makes the sorts interpreter-friendly — the run_wide\n"
-        "workload of bench/ is the vector-heavy case where compiled code wins)."
+        "workload of bench/ is the wide-register case where compiled code wins)."
     )
 
 

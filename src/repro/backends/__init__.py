@@ -1,50 +1,44 @@
-"""Pluggable execution backends for untraced BVRAM runs.
+"""Untraced execution of BVRAM programs: one tier, ``fused``.
 
-A backend turns a validated program into a cached *plan* and hands it to
-the one dispatch loop (:func:`repro.backends.base.run_plan`), which keeps
-the exact Section 2 ``T``/``W`` accounting.  Both start from the op table
-(:func:`repro.backends.fused.plan_for`): one entry per instruction, each
-register op's closure built by its class's ``step()``
-(:mod:`repro.bvram.isa`) — the same table the traced reference walks.  Two
-ship here:
+An untraced run (``BVRAM.run(..., record_trace=False)``, which
+``CompiledProgram.run``/``run_batch`` and the shard workers take) builds a
+cached *plan* from the op table (:func:`repro.backends.fused.plan_for`: one
+entry per instruction, each register op's closure built by its class's
+``step()`` in :mod:`repro.bvram.isa` — the same table the traced reference
+walks), groups its straight-line runs into one closure call per block, and
+hands it to the one dispatch loop (:func:`repro.backends.base.run_plan`),
+which keeps the exact Section 2 ``T``/``W`` accounting.  There is no second
+tier and nothing selects one: the generated-source ``vector`` tier was
+deleted because, on every benchmark workload, building its plan cost more
+than its faster blocks won back (README, "One untraced tier").
 
-* ``fused`` — the table's closures grouped into one call per straight-line
-  block; the plan is cheap to build, so this is the default;
-* ``vector`` — each block compiled to one *generated* Python function of
-  NumPy mega-ops with interval-bound guard elision; faster blocks, a far
-  dearer plan.
-
-Select per call (``run(..., backend="vector")``), per program
-(``compile_nsc(fn, backend="vector")`` — the choice survives pickling to
-shard workers), or per process (``REPRO_BACKEND=vector``).
+:func:`available_backends` and :func:`get_backend` remain only for the
+benchmark's per-layer rows, which name the tiers they time.
 """
 
-from .base import (
-    BLOCK,
-    HALT,
-    JUMP,
-    STEP,
-    TRAP,
-    Backend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from .fused import FUSED
-from .vector import VECTOR
+from . import fused
+from .base import BLOCK, HALT, JUMP, STEP, TRAP
+
+
+def available_backends() -> tuple[str, ...]:
+    """``("fused",)``: the one tier the benchmark's per-layer rows time."""
+    return ("fused",)
+
+
+def get_backend(name: str):
+    """The :mod:`~repro.backends.fused` module (it has ``plan(program)``)."""
+    if name != "fused":
+        raise ValueError(f"unknown backend {name!r}; available: fused")
+    return fused
+
 
 __all__ = [
-    "Backend",
     "available_backends",
     "get_backend",
-    "register_backend",
-    "resolve_backend",
+    "fused",
     "STEP",
     "JUMP",
     "HALT",
     "TRAP",
     "BLOCK",
-    "FUSED",
-    "VECTOR",
 ]

@@ -1,37 +1,26 @@
-"""The ``Backend`` interface and the named-backend registry.
+"""The plan entry kinds and the one untraced dispatch loop.
 
-A *backend* owns one way of executing a validated BVRAM program in untraced
-mode: it compiles the program into a **plan** (cached on the program object
-under its own ``cache_attr``, see :class:`~repro.backends.registry.PlanCache`)
-and drives that plan with exact Section 2 accounting.  The contract every
-implementation must honour — pinned by ``tests/test_optimize.py``,
-``tests/test_backends.py`` and the differential fuzz battery:
+An untraced run executes a validated BVRAM program as a cached **plan**
+(:mod:`repro.backends.fused` builds it; the plan is cached on the program
+object, see :class:`~repro.backends.registry.PlanCache`) driven by
+:func:`run_plan` with exact Section 2 accounting.  The contract — pinned by
+``tests/test_optimize.py``, ``tests/test_backends.py`` and the differential
+fuzz battery:
 
 * final register contents, ``T'`` and ``W'`` are **bit-identical** to a
   traced run, including on every error path (a raising instruction is not
   charged; ``trap`` is charged before raising; a ``max_steps`` overrun stops
   and charges at exactly the instruction the traced loop stops at);
-* plans are derived state: they must never cross a pickle boundary
-  (``CompiledProgram._CACHE_ATTRS`` lists every ``cache_attr``) and must be
-  rebuildable from the program alone, so a shard worker that receives the
-  bare program re-derives the plan of the program's *selected* backend;
+* plans are derived state: they never cross a pickle boundary
+  (``CompiledProgram._CACHE_ATTRS`` lists every cache attribute) and are
+  rebuilt from the program alone, so a shard worker that receives the bare
+  program derives its own;
 * plan caches are fork-safe (their locks live in
   :mod:`repro.backends.registry`); a forked child inherits warm plans and
   may keep using them.
-
-Selection (:func:`resolve_backend`) is by name, in precedence order:
-explicit ``backend=`` argument, the program's own ``backend`` attribute
-(survives pickling — this is how a shard worker learns the choice), the
-``REPRO_BACKEND`` environment variable, then the ``fused`` default.
-
-Every backend drives its plan through the one dispatch loop here,
-:func:`run_plan`; backends differ only in how they *build* the plan's
-blocks (closure loops vs generated source).
 """
 
 from __future__ import annotations
-
-import os
 
 from ..bvram.errors import BVRAMError
 
@@ -43,81 +32,15 @@ STEP = 0  # plain register op: fn(regs) executes it, fn built by the class's ste
 JUMP = 1  # control flow: fn(regs) returns the next pc, or -1 to fall through
 HALT = 2
 TRAP = 3  # payload is the trap message
-BLOCK = 4  # straight-line block: fn(regs, lo, hi, partial) -> (time, work)
-
-
-class Backend:
-    """One untraced execution strategy for BVRAM programs."""
-
-    #: registry name (``backend="..."`` selects it)
-    name: str = "?"
-    #: program attribute holding this backend's cached plan; every value
-    #: must be listed in ``CompiledProgram._CACHE_ATTRS``
-    cache_attr: str = "?"
-
-    def plan(self, program):
-        """Build (or fetch the cached) execution plan for ``program``."""
-        raise NotImplementedError
-
-    def execute(self, machine, program, max_steps: int, instrument=None) -> None:
-        """Run ``program`` on ``machine``, leaving T/W on the machine.
-
-        Fetches the cached plan entries (seeding whatever per-run state the
-        blocks need) and hands them to :func:`run_plan`.  ``instrument``,
-        when given, maps the entry list to the one actually dispatched —
-        the profiler's hook for wrapping payloads; plain runs pass nothing.
-        """
-        raise NotImplementedError
-
-    def disassemble(self, program) -> str:
-        """Human-readable plan listing / generated source, for debugging."""
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-_BACKENDS: dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend) -> Backend:
-    _BACKENDS[backend.name] = backend
-    return backend
-
-
-def available_backends() -> tuple[str, ...]:
-    """The registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: str) -> Backend:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(sorted(_BACKENDS))}"
-        ) from None
-
-
-def resolve_backend(backend=None, program=None) -> Backend:
-    """The backend to run with, per the module-docstring precedence order."""
-    if isinstance(backend, Backend):
-        return backend
-    if backend is None:
-        backend = (
-            getattr(program, "backend", None)
-            or os.environ.get("REPRO_BACKEND")
-            or "fused"
-        )
-    return get_backend(backend)
+BLOCK = 4  # straight-line block: fn(regs, partial) -> (time, work)
 
 
 def format_listing(program, group_of=None) -> str:
     """A labelled instruction listing, optionally annotated with block ids.
 
     ``group_of`` maps an instruction index to the plan-entry index covering
-    it (the fused/vector disassemblers pass it to show superinstruction
-    boundaries).
+    it (:func:`repro.backends.fused.disassemble` passes it to show
+    superinstruction boundaries).
     """
     by_index: dict[int, list[str]] = {}
     for lbl, idx in sorted(program.labels.items()):
@@ -138,14 +61,12 @@ def step_budget_error(max_steps: int) -> BVRAMError:
     return BVRAMError(f"exceeded {max_steps} steps (non-terminating program?)")
 
 
-def run_plan(machine, plan, max_steps: int, lo=None, hi=None) -> None:
+def run_plan(machine, plan, max_steps: int) -> None:
     """The untraced dispatch loop: one call per block, exact T/W accounting.
 
     ``plan`` is a list of ``(kind, payload, extra)`` entries: ``BLOCK``
     carries ``(fn, instruction count)``, ``JUMP`` ``(fn, rw registers)``,
-    ``HALT``/``TRAP`` are charged here without a call.  ``lo``/``hi`` are
-    the per-register interval bounds generated blocks thread through the
-    run; closure blocks ignore them.
+    ``HALT``/``TRAP`` are charged here without a call.
 
     Parity with the traced loop: each instruction is charged 1 time unit
     plus the post-execution lengths of its read/written registers, summed
@@ -181,7 +102,7 @@ def run_plan(machine, plan, max_steps: int, lo=None, hi=None) -> None:
                     raise step_budget_error(max_steps)
                 steps += extra
                 try:
-                    t, w = payload(regs, lo, hi, partial)
+                    t, w = payload(regs, partial)
                 except BaseException:
                     time += partial[0]
                     work += partial[1]

@@ -1,4 +1,4 @@
-"""The ``fused`` backend: superinstructions over the op table.
+"""The ``fused`` tier, the one untraced engine: superinstructions over the op table.
 
 The op table (:func:`plan_for`) is one ``(kind, payload, rw)`` entry per
 instruction: a register op's payload is the closure its class's ``step()``
@@ -9,7 +9,9 @@ same table one entry at a time; this tier groups it.
 Maximal straight-line runs of non-jump instructions execute as one *fused*
 step function — a single dispatch per block instead of one per instruction —
 with the ``T``/``W`` totals accumulated inside the closure.  The plan is
-cheap to build (no code generation), which is why this is the default tier.
+cheap to build (no code generation): 1-5 ms on a 1-2k-instruction program.
+An untraced ``BVRAM.run`` calls :func:`execute` directly; there is no tier
+to choose.
 
 Block boundaries are forced by control flow only:
 
@@ -27,30 +29,16 @@ be hoisted out.  When an instruction raises mid-block, the totals of the
 instructions before it are reported through a shared ``partial`` cell and
 the raising instruction is not charged, matching the traced loop's
 charge-after-execute discipline.  A step budget that expires mid-block
-drives the table's closures one by one (both tiers, so ``max_steps`` stops
-at the identical instruction).
-
-The op table, the grouping pass (:func:`group_entries`) and the jump
-re-targeting (:func:`jump_entry`) are shared with the vector backend, which
-compiles the very same blocks into generated NumPy mega-ops instead of
-closure loops — both backends therefore agree exactly on plan indices and
-``max_steps`` block boundaries.
+drives the table's closures one by one, so ``max_steps`` stops at the
+instruction the traced loop stops at.  The profiler
+(:mod:`repro.obs.profile`) reads the same grouping (:func:`group_entries`)
+to attribute a run to plan entries.
 """
 
 from __future__ import annotations
 
 from ..bvram import isa
-from .base import (
-    BLOCK,
-    HALT,
-    JUMP,
-    STEP,
-    TRAP,
-    Backend,
-    format_listing,
-    register_backend,
-    run_plan,
-)
+from .base import BLOCK, HALT, JUMP, STEP, TRAP, format_listing, run_plan
 from .registry import PlanCache
 
 
@@ -104,15 +92,14 @@ def plan_for(program: isa.Program) -> list[tuple]:
 def make_block(steps: list[tuple]) -> tuple:
     """Fuse ``(kernel, rw)`` pairs into one step closure.
 
-    The closure takes the block signature of :func:`~.base.run_plan`
-    (``lo``/``hi`` are the vector tier's interval bounds, unused here) and
+    The closure takes the block signature of :func:`~.base.run_plan` and
     returns ``(time, work)`` for the whole block; if a kernel raises, the
     totals of the completed prefix are written into ``partial`` before the
     exception propagates.
     """
     k = len(steps)
 
-    def fused(regs, lo, hi, partial, steps=tuple(steps), k=k):
+    def fused(regs, partial, steps=tuple(steps), k=k):
         t = 0
         w = 0
         try:
@@ -178,12 +165,6 @@ def group_entries(program: isa.Program, base: list[tuple]):
     return groups, entry_target
 
 
-def jump_entry(program: isa.Program, base: list[tuple], first: int, entry_target) -> tuple:
-    """The re-targeted ``(JUMP, fn, rw)`` plan entry for instruction ``first``."""
-    instr = program.instructions[first]
-    return (JUMP, _jump(instr, entry_target(program.labels[instr.label])), base[first][2])
-
-
 def build_fused_plan(program: isa.Program) -> list[tuple]:
     """Compile ``program`` into ``(kind, payload, extra)`` fused-plan entries.
 
@@ -200,7 +181,9 @@ def build_fused_plan(program: isa.Program) -> list[tuple]:
             steps = [(base[j][1], base[j][2]) for j in idxs]
             plan.append((BLOCK, *make_block(steps)))
         elif kind == JUMP:
-            plan.append(jump_entry(program, base, first, entry_target))
+            instr = program.instructions[first]
+            target = entry_target(program.labels[instr.label])
+            plan.append((JUMP, _jump(instr, target), base[first][2]))
         else:  # HALT / TRAP: keep the op table's payload
             plan.append((kind, base[first][1], base[first][2]))
     return plan
@@ -209,34 +192,34 @@ def build_fused_plan(program: isa.Program) -> list[tuple]:
 _CACHE = PlanCache("_fused_plan", build_fused_plan)
 
 
-class FusedBackend(Backend):
-    """Superinstruction dispatch: one closure call per straight-line block."""
-
-    name = "fused"
-    cache_attr = _CACHE.attr
-
-    def plan(self, program):
-        return _CACHE.lookup(program)
-
-    def execute(self, machine, program, max_steps: int, instrument=None) -> None:
-        plan = _CACHE.lookup(program)
-        if instrument is not None:
-            plan = instrument(plan)
-        run_plan(machine, plan, max_steps)
-
-    def disassemble(self, program) -> str:
-        base = plan_for(program)
-        groups, _ = group_entries(program, base)
-        group_of = {}
-        for gi, (_, idxs) in enumerate(groups):
-            for j in idxs:
-                group_of[j] = gi
-        header = "".join(
-            f"# entry {gi}: {'block' if kind == BLOCK else 'control'} "
-            f"[{idxs[0]}..{idxs[-1]}]\n"
-            for gi, (kind, idxs) in enumerate(groups)
-        )
-        return header + format_listing(program, group_of)
+def plan(program: isa.Program) -> list[tuple]:
+    """Build (or fetch the cached) fused plan for ``program``."""
+    return _CACHE.lookup(program)
 
 
-FUSED = register_backend(FusedBackend())
+def execute(machine, program: isa.Program, max_steps: int, instrument=None) -> None:
+    """Run ``program`` on ``machine`` untraced, leaving T/W on the machine.
+
+    ``instrument``, when given, maps the plan to the one actually
+    dispatched — the profiler's hook for wrapping payloads; plain runs pass
+    nothing.
+    """
+    entries = _CACHE.lookup(program)
+    if instrument is not None:
+        entries = instrument(entries)
+    run_plan(machine, entries, max_steps)
+
+
+def disassemble(program: isa.Program) -> str:
+    """The instruction listing annotated with its plan-entry boundaries."""
+    groups, _ = group_entries(program, plan_for(program))
+    group_of = {}
+    for gi, (_, idxs) in enumerate(groups):
+        for j in idxs:
+            group_of[j] = gi
+    header = "".join(
+        f"# entry {gi}: {'block' if kind == BLOCK else 'control'} "
+        f"[{idxs[0]}..{idxs[-1]}]\n"
+        for gi, (kind, idxs) in enumerate(groups)
+    )
+    return header + format_listing(program, group_of)

@@ -1,6 +1,6 @@
 """One fork-safe home for every lazily-built execution cache.
 
-Every plan cache (op table, fused plan, vector plan, profiler metadata)
+Every plan cache (op table, fused plan, profiler metadata)
 needs a lock that survives ``os.fork``; this module is the one
 implementation they share:
 
@@ -100,8 +100,8 @@ class PlanCache:
     a miss takes the cache's own :class:`ForkSafeLock`, re-checks, and
     builds at most once per program generation.
 
-    Nested lookups (the fused and vector builders call the op-table cache
-    for the base plan) are safe because every cache has its *own* lock and the
+    Nested lookups (the fused-plan and profiler builders call the op-table
+    cache for the base plan) are safe because every cache has its *own* lock and the
     build dependencies are acyclic — the acquisition order is fixed by the
     builder chain, so plain non-reentrant locks suffice.
     """

@@ -187,6 +187,15 @@ class LoadConst(Instruction):
     dst: int
     value: int
 
+    def __init__(self, dst: int, value: int) -> None:
+        # no int64 register holds it (a negative constant is a run-time trap
+        # instead, see ``step``).  Checked here, not in a ``__post_init__``,
+        # which would be one more call per constant the compiler emits
+        if value >= kernels.INT64_LIMIT:
+            raise ValueError(f"load_const value {value} does not fit a register (>= 2**63)")
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "value", value)
+
     def registers_written(self) -> tuple[int, ...]:
         return (self.dst,)
 

@@ -1,11 +1,10 @@
-"""The per-op vector kernels and overflow guards, shared by every tier.
+"""The per-op vector kernels and overflow guards, one definition per operation.
 
-One definition per BVRAM operation.  The ``step()`` closures of the
-instruction classes (:mod:`repro.bvram.isa`) call them, so the traced
-reference and the ``fused`` tier run the same code; the generated source of
-the ``vector`` backend calls them too.  They sit in the machine's own layer,
-importing only :mod:`repro.bvram.errors`, so the ISA imports them without a
-cycle in any package-entry order.
+The ``step()`` closures of the instruction classes (:mod:`repro.bvram.isa`)
+call them, so the traced reference and the untraced ``fused`` tier run the
+same code.  They sit in the machine's own layer, importing only
+:mod:`repro.bvram.errors`, so the ISA imports them without a cycle in any
+package-entry order.
 
 Semantics are exactly the Section 2 machine's:
 
@@ -15,13 +14,8 @@ Semantics are exactly the Section 2 machine's:
 * ``-`` is monus, ``/`` and ``mod`` trap on zero divisors, ``>>`` saturates
   the mathematically-zero shifts numpy leaves undefined;
 * the segmented ops validate their descriptors and trap with the same
-  messages in every backend — error paths are part of the bit-identical
-  contract the differential battery pins.
-
-The ``*_nooverflow`` variants at the bottom are for callers that have
-*proved* the partial sums fit (the vector backend's interval bounds): they
-keep every descriptor check but skip the cumsum monotonicity scan.  Feeding
-them sums that can wrap is a correctness bug, not a slow path.
+  messages on both execution paths — error paths are part of the
+  bit-identical contract the differential battery pins.
 """
 
 from __future__ import annotations
@@ -88,7 +82,7 @@ def arith_shr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b >= 63, 0, a >> np.minimum(b, 62))
 
 
-#: per-op binary kernels, shared by ``Arith.step`` and the vector backend
+#: per-op binary kernels, looked up by ``Arith.step``
 ARITH_KERNELS = {
     "+": arith_add,
     "-": arith_sub,
@@ -224,26 +218,6 @@ def seg_reduce_vec(op: str, data: np.ndarray, segments: np.ndarray) -> np.ndarra
             np.maximum.at(out, ids, data)
         return out
     raise BVRAMError(f"unknown segmented op {op!r}")
-
-
-def seg_scan_add_nooverflow(data: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """``seg_scan_vec('+', ...)`` for callers that proved the sums fit."""
-    check_segments(data, segments, "seg_scan")
-    if data.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return _seg_scan_add(np.cumsum(data), segments)
-
-
-def seg_reduce_add_nooverflow(data: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """``seg_reduce_vec('+', ...)`` for callers that proved the sums fit."""
-    check_segments(data, segments, "seg_reduce")
-    if segments.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if data.size == 0:
-        return np.zeros(segments.size, dtype=np.int64)
-    total = np.concatenate([[0], np.cumsum(data)])
-    ends = np.cumsum(segments)
-    return (total[ends] - total[ends - segments]).astype(np.int64)
 
 
 def bm_route_vec(data: np.ndarray, counts: np.ndarray, bound: np.ndarray) -> np.ndarray:

@@ -11,18 +11,17 @@ Execution has two modes:
   per-instruction *trace* (opcode, work) so that the butterfly
   implementation (Proposition 2.1) and the Brent scheduler (Proposition 3.2)
   can replay executions step by step;
-* **untraced** (``record_trace=False``) — the fast path, delegated to a
-  pluggable :mod:`repro.backends` backend: the program is pre-compiled once
-  into a plan (cached on the program object), no :class:`TraceEntry`
-  objects are allocated, and the ``T``/``W`` counters accumulate in locals
-  flushed back at every exit (normal, trap, or error).  ``backend=``
-  selects the tier (``fused`` / ``vector``).  In every mode the totals are
-  **bit-identical** to a traced run of the same program — each executed
+* **untraced** (``record_trace=False``) — the fast path, delegated to the
+  ``fused`` tier (:func:`repro.backends.fused.execute`): the program is
+  pre-compiled once into a plan (cached on the program object), no
+  :class:`TraceEntry` objects are allocated, and the ``T``/``W`` counters
+  accumulate in locals flushed back at every exit (normal, trap, or error).
+  In both modes the totals are **bit-identical** — each executed
   instruction is charged 1 time unit plus the post-execution lengths of its
   read and written registers — which ``tests/test_optimize.py``,
   ``tests/test_backends.py`` and ``tests/test_batch.py`` pin.
 
-The traced loop below is the reference every backend is compared against.
+The traced loop below is the reference the untraced tier is compared against.
 It runs the op table: the same cached per-instruction entries the ``fused``
 tier groups into blocks (:func:`repro.backends.fused.plan_for`), each
 register op's closure built by its class's ``step()`` in
@@ -132,19 +131,13 @@ class BVRAM:
         inputs: Optional[Sequence[Sequence[int]]] = None,
         max_steps: int = 10_000_000,
         record_trace: bool = True,
-        backend=None,
     ) -> RunResult:
         """Execute ``program`` and return the result with T/W counters.
 
         ``record_trace=False`` selects the untraced fast path: identical
         ``T``/``W`` totals and final registers, but no per-instruction trace
         (``RunResult.trace`` comes back empty) and substantially less
-        per-step interpreter overhead.  Which untraced engine runs is a
-        :mod:`repro.backends` choice — ``backend=`` names one explicitly
-        (``"fused"`` or ``"vector"``), otherwise the program's own
-        ``backend`` attribute, the ``REPRO_BACKEND`` environment variable
-        and finally the ``fused`` default apply.  ``backend`` is ignored in
-        traced mode, which needs per-instruction entries.
+        per-step interpreter overhead: it runs the ``fused`` plan.
         """
         program.validate()
         if program.n_registers > self.n_registers:
@@ -164,10 +157,9 @@ class BVRAM:
         self.trace = []
         # ``repro.backends`` imports this package, so it is imported at call time
         if not record_trace:
-            from ..backends.base import resolve_backend
+            from ..backends.fused import execute
 
-            engine = resolve_backend(backend, program=program)
-            engine.execute(self, program, max_steps)
+            execute(self, program, max_steps)
             return RunResult(
                 registers=[r.copy() for r in self.registers],
                 time=self.time,

@@ -6,10 +6,7 @@ A compiled artifact is a pure function of
   names replaced by structural binder indices so alpha-equivalent programs
   (e.g. two ``gensym``-built copies of the same combinator) share one
   artifact;
-* the compile knobs ``eps`` / ``opt_level`` / ``backend``
-  (the backend pin does not change the emitted instructions, but it rides
-  the pickled program, so two pins are two artifacts — conservative and
-  cheap);
+* the compile knobs ``eps`` / ``opt_level``;
 * the **version salt**: the cache envelope format, the ISA version
   (:data:`repro.bvram.isa.ISA_VERSION`) and the code-generator version
   (:data:`repro.compiler.codegen.CODEGEN_VERSION`).  Bumping any of them
@@ -163,7 +160,6 @@ def cache_key(
     *,
     eps: float = 0.5,
     opt_level: int = 2,
-    backend: Optional[str] = None,
 ) -> str:
     """The content address of one compiled artifact (SHA-256 hex digest).
 
@@ -173,8 +169,6 @@ def cache_key(
     """
     hasher = hashlib.sha256()
     hasher.update(_salt().encode())
-    hasher.update(
-        f";eps={eps!r};opt={opt_level};backend={backend or ''};ast=".encode()
-    )
+    hasher.update(f";eps={eps!r};opt={opt_level};ast=".encode())
     _feed_ast(hasher, fn)
     return hasher.hexdigest()

@@ -34,12 +34,12 @@ from .store import CompileCache
 OPT_LEVELS = (0, 2)
 
 
-def run_battery(store: CompileCache, backend: str | None = None) -> dict:
+def run_battery(store: CompileCache) -> dict:
     """Compile + run (singly and batched) the battery through ``store``; deterministic manifest."""
     runs: dict[str, dict] = {}
     for name, fn, inputs in suite():
         for opt in OPT_LEVELS:
-            prog = compile_nsc(fn, opt_level=opt, backend=backend, cache=store)
+            prog = compile_nsc(fn, opt_level=opt, cache=store)
             for i, value in enumerate(inputs):
                 out, res = prog.run(value)
                 runs[f"{name}/opt{opt}/in{i}"] = {
@@ -56,7 +56,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dir", required=True, help="cache directory (REPRO_CACHE_DIR)")
     ap.add_argument("--manifest", help="write the run manifest (JSON) here")
-    ap.add_argument("--backend", default=None, help="pin an execution backend")
     ap.add_argument(
         "--expect-warm",
         action="store_true",
@@ -66,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
 
     store = CompileCache(args.dir)
     t0 = time.perf_counter()
-    runs = run_battery(store, backend=args.backend)
+    runs = run_battery(store)
     elapsed = time.perf_counter() - t0
     snap = store.snapshot()
 

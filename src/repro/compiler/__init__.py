@@ -45,6 +45,10 @@ Front door::
                                           # batch is one more segment level
                                           # (see repro.compiler.batch)
 
+Both run untraced, on the one ``fused`` tier (:mod:`repro.backends`);
+``prog.run(v, trace=True)`` runs the traced reference machine, with
+bit-identical ``T'``/``W'``.
+
 ``eps`` is realised at run time as ``n^eps`` via repeated integer square
 roots, so it is quantised down to ``2**-k`` (``1, 0.5, 0.25, ...``);
 ``CompiledProgram.eps`` is the realised value.  Programs
@@ -60,7 +64,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..backends import get_backend
 from ..bvram import BVRAM, RunResult
 from ..bvram.isa import Program
 from ..cache.store import ENV_DEFAULT, default_cache
@@ -100,13 +103,7 @@ class CompiledProgram(Program):
     batch of one, :meth:`run`) and B requests in one machine run
     (:meth:`run_batch`) alike: flattening makes the emitted code
     width-independent (the paper's point), so nothing else is compiled.
-
-    ``backend`` pins the untraced execution backend for this program
-    (``"fused"`` or ``"vector"``); ``None`` defers to the ``REPRO_BACKEND``
-    environment variable and the ``fused`` default.
-    It is a plain string field, so — unlike the derived plans below — the
-    choice *survives pickling*: a shard worker or serving lane receiving
-    the program re-derives the plan of the selected backend.
+    Untraced runs execute the ``fused`` plan (:mod:`repro.backends`).
     """
 
     dom: Optional[Type] = None
@@ -114,7 +111,6 @@ class CompiledProgram(Program):
     eps: float = 0.5
     nsa_size: int = 0
     opt_level: int = 2
-    backend: Optional[str] = None
 
     #: run-time caches attached to instances after compilation; they hold
     #: closures (execution plans) and diagnostics that must not — and the
@@ -123,7 +119,6 @@ class CompiledProgram(Program):
     _CACHE_ATTRS = (
         "_fast_plan",
         "_fused_plan",
-        "_vector_plan",
         "_batch_fallback_error",
         "_profile_meta",
     )
@@ -212,27 +207,27 @@ class CompiledProgram(Program):
         path: ``T'``/``W'`` totals are bit-identical to a traced run, but no
         per-instruction :class:`~repro.bvram.machine.TraceEntry` list is
         built.  Pass ``trace=True`` when the result will be replayed on the
-        butterfly network or Brent-scheduled (they need the trace).
-        ``backend`` overrides the untraced engine for this call (the
-        program's own ``backend`` field, then ``REPRO_BACKEND``, then
-        ``fused`` apply otherwise); it is ignored in traced mode.  The value
-        runs as a batch of one.
+        butterfly network or Brent-scheduled (they need the trace).  The
+        value runs as a batch of one.  ``backend`` accepts only ``None`` or
+        ``"fused"``, the one untraced tier; it is kept for the benchmark's
+        per-layer rows, which name the tier they time.
         """
+        if backend not in (None, "fused"):
+            raise ValueError(f"unknown backend {backend!r}; available: fused")
         machine = BVRAM(self.n_registers)
         res = machine.run(
             self,
             self.encode_batch_input([value]),
             max_steps=max_steps,
             record_trace=trace,
-            backend=backend,
         )
         return self.decode_batch_output(res.registers, 1)[0], res
 
-    def profile(self, value: object, max_steps: int = 10_000_000, backend: Optional[str] = None):
+    def profile(self, value: object, max_steps: int = 10_000_000):
         """Profile one run: per-block hits, wall time and exact T'/W' attribution.
 
-        Executes like an untraced ``run()`` (same backend selection, same
-        cached plan, same dispatch loop) with the attributing wrappers of
+        Executes like an untraced ``run()`` (same cached plan, same dispatch
+        loop) with the attributing wrappers of
         :mod:`repro.obs.profile` in place and returns a
         :class:`~repro.obs.profile.ProfileReport` — ``report.table()`` is
         the sorted hot-block table, each row's ``source_line`` indexes into
@@ -244,24 +239,16 @@ class CompiledProgram(Program):
         """
         from ..obs.profile import profile_run
 
-        report = profile_run(
-            self, self.encode_input(value), max_steps=max_steps, backend=backend
-        )
+        report = profile_run(self, self.encode_input(value), max_steps=max_steps)
         if report.error is None:
             report.result = self.decode_output(report.registers)
         return report
 
-    def disassemble(self, backend: Optional[str] = None) -> str:
-        """The selected backend's plan listing / generated source for this program.
+    def disassemble(self) -> str:
+        """The instruction listing annotated with the ``fused`` plan's block boundaries."""
+        from ..backends import fused
 
-        ``fused`` returns an instruction listing annotated with its block
-        boundaries; ``vector`` returns the generated Python source of its
-        mega-op block functions.  Defaults to the same backend a ``run()``
-        would select.
-        """
-        from ..backends import resolve_backend
-
-        return resolve_backend(backend, program=self).disassemble(self)
+        return fused.disassemble(self)
 
     def run_batch(
         self,
@@ -270,7 +257,6 @@ class CompiledProgram(Program):
         return_exceptions: bool = False,
         executor: Optional[object] = None,
         shards: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> list[Value]:
         """Execute B independent inputs as **one** flattened machine run.
 
@@ -296,7 +282,6 @@ class CompiledProgram(Program):
                 shards=shards,
                 max_steps=max_steps,
                 return_exceptions=return_exceptions,
-                backend=backend,
             )
         from .batch import run_batch
 
@@ -305,7 +290,6 @@ class CompiledProgram(Program):
             values,
             max_steps=max_steps,
             return_exceptions=return_exceptions,
-            backend=backend,
         )
 
 
@@ -314,7 +298,6 @@ def compile_nsc(
     eps: float = 0.5,
     opt_level: int = 2,
     batch_axis: bool = True,
-    backend: Optional[str] = None,
     cache: object = ENV_DEFAULT,
 ) -> CompiledProgram:
     """Compile a (typecheckable) NSC function to an executable BVRAM program.
@@ -346,11 +329,6 @@ def compile_nsc(
     is accepted for old callers: ``True`` is the only program there is, and
     ``False`` is a :class:`CompileError`.
 
-    ``backend`` pins the untraced execution backend on the program (see
-    :mod:`repro.backends`); the choice rides the program through pickling
-    to shard workers.  Unknown names are a :class:`CompileError` here, not
-    a run-time surprise.
-
     ``cache`` selects the content-addressed compile cache (see
     :mod:`repro.cache`): by default the ``REPRO_CACHE_DIR`` environment
     variable decides (unset = no cache); pass a
@@ -364,11 +342,6 @@ def compile_nsc(
         raise CompileError("batch_axis=False was removed: every program carries the batch axis")
     if opt_level not in (0, 1, 2):
         raise CompileError(f"opt_level must be 0, 1 or 2, got {opt_level!r}")
-    if backend is not None:
-        try:
-            get_backend(backend)
-        except ValueError as e:
-            raise CompileError(str(e)) from None
 
     # resolve_cache's rule, inline (one profiled call fewer per compile);
     # default_cache() is the one reader of the environment
@@ -376,7 +349,7 @@ def compile_nsc(
     if store is not None:
         from ..cache.key import cache_key
 
-        key = cache_key(fn, eps=eps, opt_level=opt_level, backend=backend)
+        key = cache_key(fn, eps=eps, opt_level=opt_level)
         with _span("compile/cache", "compile") as sp:
             hit = store.get(key)
             sp.note(hit=int(hit is not None))
@@ -432,7 +405,6 @@ def compile_nsc(
         eps=fl.eps,
         nsa_size=nsa_size,
         opt_level=opt_level,
-        backend=backend,
     )
     prog.validate()
     if store is not None:

@@ -107,7 +107,6 @@ def _execute(
     inputs: list[np.ndarray],
     count: int,
     max_steps: int,
-    backend: Optional[str],
 ) -> Optional[RunResult]:
     """One batched machine run; ``None`` when it raised (the fallback loop's cue).
 
@@ -118,9 +117,7 @@ def _execute(
     """
     try:
         with _span("batch/execute", "serve", batch=count) as sp:
-            res = BVRAM(prog.n_registers).run(
-                prog, inputs, max_steps=max_steps, record_trace=False, backend=backend
-            )
+            res = BVRAM(prog.n_registers).run(prog, inputs, max_steps=max_steps, record_trace=False)
             sp.note(time=res.time, work=res.work)
     except BVRAMError as e:
         prog._batch_fallback_error = e
@@ -134,7 +131,6 @@ def run_batch(
     values: Sequence[object],
     max_steps: int = 10_000_000,
     return_exceptions: bool = False,
-    backend: Optional[str] = None,
 ) -> list[Value]:
     """Run ``prog`` on every input in ``values``; see the module docstring."""
     if not values:
@@ -147,12 +143,12 @@ def run_batch(
         # its own, so only the offender fails
         res = None
     else:
-        res = _execute(prog, inputs, len(values), max_steps, backend)
+        res = _execute(prog, inputs, len(values), max_steps)
     if res is not None:
         with _span("batch/decode", "serve", batch=len(values)):
             return prog.decode_batch_output(res.registers, len(values))
     with _span("batch/fallback", "serve", batch=len(values)):
-        return _run_batch_fallback(prog, values, max_steps, return_exceptions, backend)
+        return _run_batch_fallback(prog, values, max_steps, return_exceptions)
 
 
 def run_batch_fields(
@@ -160,7 +156,6 @@ def run_batch_fields(
     fields: Sequence[np.ndarray],
     count: int,
     max_steps: int = 10_000_000,
-    backend: Optional[str] = None,
 ) -> tuple[str, list]:
     """Run a batch already in canonical **field encoding**; no re-encode.
 
@@ -180,14 +175,14 @@ def run_batch_fields(
     if count == 0:
         return ("values", [])
     inputs = [*fields, np.zeros(count, dtype=np.int64)]
-    res = _execute(prog, inputs, count, max_steps, backend)
+    res = _execute(prog, inputs, count, max_steps)
     if res is not None:
         return ("registers", res.registers[: prog.n_outputs])
     from .codegen import decode_batch
 
     vals = decode_batch(fields, prog.dom, count)
     with _span("batch/fallback", "serve", batch=count):
-        return ("values", _run_batch_fallback(prog, vals, max_steps, True, backend))
+        return ("values", _run_batch_fallback(prog, vals, max_steps, True))
 
 
 def _run_batch_fallback(
@@ -195,7 +190,6 @@ def _run_batch_fallback(
     vals: Sequence[object],
     max_steps: int,
     return_exceptions: bool,
-    backend: Optional[str] = None,
 ) -> list[Value]:
     """Per-input loop: one fresh machine per input, failures isolated."""
     out: list[Value] = []
@@ -210,9 +204,7 @@ def _run_batch_fallback(
             out.append(BatchError.at(i, str(e)))
             continue
         try:
-            res = BVRAM(prog.n_registers).run(
-                prog, inputs, max_steps=max_steps, record_trace=False, backend=backend
-            )
+            res = BVRAM(prog.n_registers).run(prog, inputs, max_steps=max_steps, record_trace=False)
         except BVRAMError as e:
             err = BatchError.at(i, str(e))
             if not return_exceptions:

@@ -192,6 +192,8 @@ class Emitter:
         )
 
     def load_const(self, value: int) -> int:
+        if value >= 2**63:  # an NSC literal no register holds; isa.LoadConst refuses it too
+            raise CompileError(f"constant {value} exceeds the int64 register width")
         return self._cached(
             ("load_const", value), (), lambda dst: isa.LoadConst(dst=dst, value=value)
         )

@@ -1,9 +1,9 @@
 """Per-block execution profiling with exact ``T'``/``W'`` attribution.
 
-The backends report only run *totals*; this module attributes them.  It
+An untraced run reports only *totals*; this module attributes them.  It
 owns no dispatch loop: a profiled run executes the program's **normal
-cached plan** (the very closures/generated blocks a plain run dispatches)
-through the backends' one loop, :func:`repro.backends.base.run_plan`, with
+cached** ``fused`` plan (the very block closures a plain run dispatches)
+through the one loop, :func:`repro.backends.base.run_plan`, with
 every callable payload — block, jump, and the op-table closures
 (:func:`repro.backends.fused.plan_for`, each built by an instruction's
 ``step()``) behind a block's ``.steps`` — wrapped to record, per plan
@@ -11,10 +11,9 @@ entry: hit count, wall time, and the exact ``(t, w)`` the payload hands the
 loop (returned, left in ``partial`` when a block raises mid-stream, or
 charged step by step in the ``max_steps`` mid-block fallback).  The one
 charge the loop makes without a call, the final ``halt``/``trap`` unit, is
-attributed from the exit ``pc`` the loop records.  Nothing here depends on
-which backend built the plan, so every registered tier is profilable, and
-the per-entry sums equal the machine totals on every exit path
-(``tests/test_obs.py`` pins it over the differential battery).
+attributed from the exit ``pc`` the loop records.  The per-entry sums equal
+the machine totals on every exit path (``tests/test_obs.py`` pins it over
+the differential battery).
 
 Profiling is opt-in per run: plain runs pass no ``instrument`` hook and pay
 nothing, and the profiler's own derived state — the block grouping and the
@@ -42,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..backends.base import BLOCK, HALT, JUMP, TRAP, format_listing, resolve_backend
-from ..backends.fused import group_entries, plan_for
+from ..backends import fused
+from ..backends.base import BLOCK, HALT, JUMP, TRAP, format_listing
 from ..backends.registry import PlanCache
 from ..bvram.errors import BVRAMError
 from ..bvram.machine import BVRAM
@@ -70,7 +69,7 @@ def listing_line_numbers(program) -> dict[int, int]:
 
 def _build_meta(program) -> tuple:
     """``(block grouping, listing line map)`` — the profiler's derived state."""
-    groups, _ = group_entries(program, plan_for(program))
+    groups, _ = fused.group_entries(program, fused.plan_for(program))
     return groups, listing_line_numbers(program)
 
 
@@ -86,7 +85,7 @@ def meta_for(program) -> tuple:
 class BlockStat:
     """One plan entry's attribution: hits, wall time and exact T'/W'."""
 
-    entry: int  #: plan-entry index (matches the fused/vector disassembly)
+    entry: int  #: plan-entry index (matches ``CompiledProgram.disassemble()``)
     kind: str  #: "block" / "jump" / "halt" / "trap"
     first: int  #: first covered instruction index
     last: int  #: last covered instruction index
@@ -109,7 +108,6 @@ class ProfileReport:
     still summing exactly to the totals).
     """
 
-    backend: str
     blocks: list[BlockStat]
     time: int
     work: int
@@ -139,7 +137,7 @@ class ProfileReport:
         """The sorted hot-block table, one row per executed plan entry."""
         total_wall = sum(b.wall_s for b in self.blocks) or 1.0
         lines = [
-            f"backend={self.backend}  T'={self.time}  W'={self.work}  "
+            f"T'={self.time}  W'={self.work}  "
             f"wall={self.wall_s * 1e3:.2f}ms"
             + (f"  ERROR: {self.error}" if self.error else ""),
             f"{'entry':>5} {'kind':<5} {'instrs':>9} {'hits':>7} {'T-prime':>9} "
@@ -174,7 +172,7 @@ class _Attribution:
         self.next_pc = 0
 
     def instrument(self, entries: list[tuple]) -> list[tuple]:
-        """The ``Backend.execute`` hook: the plan with every payload wrapped."""
+        """The ``fused.execute`` hook: the plan with every payload wrapped."""
         self.entries = entries
         wrapped = []
         for ei, (kind, payload, extra) in enumerate(entries):
@@ -188,11 +186,11 @@ class _Attribution:
     def _block(self, ei: int, fn):
         hits, time, work, wall = self.hits, self.time, self.work, self.wall
 
-        def block(regs, lo, hi, partial):
+        def block(regs, partial):
             hits[ei] += 1
             t0 = perf_counter()
             try:
-                t, w = fn(regs, lo, hi, partial)
+                t, w = fn(regs, partial)
             except BaseException:
                 t, w = partial
                 raise
@@ -249,16 +247,14 @@ class _Attribution:
             self.time[ei] += 1
 
 
-def profile_run(program, inputs, max_steps: int = 10_000_000, backend=None) -> ProfileReport:
+def profile_run(program, inputs, max_steps: int = 10_000_000) -> ProfileReport:
     """Profile one run of ``program`` on a pre-marshalled input-register image.
 
-    Selects the backend like an untraced ``run()`` (explicit argument, then
-    the program's pin, ``REPRO_BACKEND``, the ``fused`` default) and runs
-    its normal cached plan with the attributing wrappers in place.  A
-    trapping run returns a report with ``error`` set and exact prefix totals
-    instead of raising; non-BVRAM exceptions propagate.
+    Runs the program's normal cached ``fused`` plan, as an untraced
+    ``run()`` does, with the attributing wrappers in place.  A trapping run
+    returns a report with ``error`` set and exact prefix totals instead of
+    raising; non-BVRAM exceptions propagate.
     """
-    engine = resolve_backend(backend, program=program)
     program.validate()
     machine = BVRAM(program.n_registers)
     if len(inputs) != program.n_inputs:
@@ -268,13 +264,13 @@ def profile_run(program, inputs, max_steps: int = 10_000_000, backend=None) -> P
     for i, values in enumerate(inputs):
         machine.load(i, values)
 
-    engine.plan(program)  # built (and its errors raised) outside the timed run
+    fused.plan(program)  # built (and its errors raised) outside the timed run
     groups, line_of = meta_for(program)
     acc = _Attribution(len(groups))
     error: Optional[str] = None
     t_run = perf_counter()
     try:
-        engine.execute(machine, program, max_steps, instrument=acc.instrument)
+        fused.execute(machine, program, max_steps, instrument=acc.instrument)
     except BVRAMError as e:
         error = str(e)
     wall_total = perf_counter() - t_run
@@ -297,7 +293,6 @@ def profile_run(program, inputs, max_steps: int = 10_000_000, backend=None) -> P
         for ei, (kind, idxs) in enumerate(groups)
     ]
     return ProfileReport(
-        backend=engine.name,
         blocks=blocks,
         time=machine.time,
         work=machine.work,

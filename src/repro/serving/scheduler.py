@@ -9,9 +9,10 @@ policy either.  :class:`Server` is a work-conserving lane per program:
 * a drainer task per lane awaits the first request, takes whatever else is
   queued (up to ``max_batch``) and dispatches it as **one** ``run_batch``
   call — it never waits for company, so a lone request runs at once;
-* the machine run happens on an executor thread, so the event loop keeps
-  accepting requests while a batch executes — the next batch forms during
-  the current one, and batch size follows load by itself;
+* the machine run (untraced, on the one ``fused`` tier) happens on an
+  executor thread, so the event loop keeps accepting requests while a
+  batch executes — the next batch forms during the current one, and batch
+  size follows load by itself;
 * every batch runs with ``return_exceptions=True``: a trapping request
   resolves *its* future with :class:`~repro.compiler.batch.BatchError` while
   every sibling gets its exact value (per-request trap isolation).
@@ -108,7 +109,6 @@ class Server:
         worker_threads: int = 1,
         max_steps: int = 10_000_000,
         max_programs: int = 64,
-        backend: Optional[str] = None,
         tracer: Optional[Trace] = None,
         cache: object = ENV_DEFAULT,
         slo: Optional[SLOConfig] = None,
@@ -120,10 +120,6 @@ class Server:
         self.max_batch = max_batch
         self.max_queue = max_queue
         self.max_steps = max_steps
-        #: untraced backend every batch dispatches with (None: each
-        #: program's own field / the environment decide); functions compiled
-        #: by the server inherit it as their program-level pin
-        self.backend = backend
         #: soft bound on live per-program state (lanes + compile cache):
         #: above it, idle lanes are evicted LRU and the compile cache drops
         #: old entries.  Soft — lanes with queued or executing
@@ -162,7 +158,7 @@ class Server:
         key = id(fn)
         entry = self._compiled.get(key)
         if entry is None or entry[0] is not fn:
-            entry = (fn, compile_nsc(fn, backend=self.backend, cache=self._cache))
+            entry = (fn, compile_nsc(fn, cache=self._cache))
             self._compiled[key] = entry
             while len(self._compiled) > self.max_programs:
                 self._compiled.popitem(last=False)  # harmless: recompiles
@@ -333,10 +329,7 @@ class Server:
             t0 = time.perf_counter()
             with activate(tracer):
                 results = prog.run_batch(
-                    values,
-                    max_steps=self.max_steps,
-                    return_exceptions=True,
-                    backend=self.backend,
+                    values, max_steps=self.max_steps, return_exceptions=True
                 )
             return results, time.perf_counter() - t0
 

@@ -12,7 +12,8 @@ about any request's semantics.
 worker receives a program at most once, pickled without its run-time
 caches (see ``CompiledProgram.__getstate__``), and keeps it in a bounded
 per-worker cache.  A worker never compiles: the program it receives is the
-one that runs every batch, and the worker derives only its execution plans.
+one that runs every batch, and the worker derives only its ``fused`` plan
+(the one untraced tier, so no choice of engine rides the message).
 
 Spans travel in one wire format (:mod:`repro.serving.transport`): the parent
 encodes the batch once into its canonical flat ``int64`` vectors — plain
@@ -109,7 +110,7 @@ def _worker_main(in_q, out_q) -> None:
         msg = in_q.get()
         if msg is None:
             return
-        task_id, shard_idx, key, blob, payload, count, max_steps, backend = msg
+        task_id, shard_idx, key, blob, payload, count, max_steps = msg
         try:
             prog = cache.get(key)
             if prog is None:
@@ -122,11 +123,7 @@ def _worker_main(in_q, out_q) -> None:
                     cache.popitem(last=False)
             else:
                 cache.move_to_end(key)
-            # an explicit per-call backend rides the message, the program's
-            # own pickled ``backend`` field applies otherwise
-            tag, res = run_batch_fields(
-                prog, unpack_oob(*payload), count, max_steps=max_steps, backend=backend
-            )
+            tag, res = run_batch_fields(prog, unpack_oob(*payload), count, max_steps=max_steps)
             if tag == "registers":
                 # fast path: the output registers go back as frames — no
                 # S-object was ever built on this side of the boundary
@@ -197,10 +194,10 @@ class _Span:
 class _Task:
     """One batch in flight: its program, pending spans and finished results."""
 
-    def __init__(self, prog, task_id: int, key, blob, max_steps, backend) -> None:
+    def __init__(self, prog, task_id: int, key, blob, max_steps) -> None:
         self.prog, self.id = prog, task_id
         self.key, self.blob = key, blob
-        self.max_steps, self.backend = max_steps, backend
+        self.max_steps = max_steps
         self.pending: dict[int, _Span] = {}
         self.done: dict[int, list] = {}
         # workers whose blob resend is already in flight for this task: a
@@ -213,8 +210,7 @@ class _Task:
         """Run a pending span in-process instead of on its worker."""
         span = self.pending[shard_idx]
         self.done[shard_idx] = self.prog.run_batch(
-            span.chunk, max_steps=self.max_steps, return_exceptions=True,
-            backend=self.backend,
+            span.chunk, max_steps=self.max_steps, return_exceptions=True
         )
         del self.pending[shard_idx]
         span.worker.stats["fallback_spans"] += 1
@@ -384,8 +380,7 @@ class ShardExecutor:
             worker.mark_shipped(task.key)
         worker.stats["bytes_shipped"] += _frame_bytes(span.payload[1])
         worker.in_q.put(
-            (task.id, shard_idx, task.key, ship, span.payload, len(span.chunk),
-             task.max_steps, task.backend)
+            (task.id, shard_idx, task.key, ship, span.payload, len(span.chunk), task.max_steps)
         )
 
     def run_batch(
@@ -395,7 +390,6 @@ class ShardExecutor:
         shards: Optional[int] = None,
         max_steps: int = 10_000_000,
         return_exceptions: bool = False,
-        backend: Optional[str] = None,
     ) -> list:
         """Run ``prog`` over ``values`` split into ``shards`` worker spans.
 
@@ -403,9 +397,6 @@ class ShardExecutor:
         defaults to the worker count.  More shards than workers is allowed
         (spans round-robin onto workers and each worker drains its spans in
         order) — useful for tests and for bounding per-message size.
-        ``backend`` selects the untraced engine *inside the workers* for
-        this call; without it the program's own pickled ``backend`` field
-        (then the worker's environment) decides.
         """
         if self._closed:
             raise ShardExecutorClosed("ShardExecutor is closed")
@@ -424,8 +415,7 @@ class ShardExecutor:
             ]
         except ENCODE_ERRORS:
             return prog.run_batch(
-                values, max_steps=max_steps, return_exceptions=return_exceptions,
-                backend=backend,
+                values, max_steps=max_steps, return_exceptions=return_exceptions
             )
         span_views = prog.split_batch_fields(fields, spans)
 
@@ -435,7 +425,7 @@ class ShardExecutor:
             # otherwise read the same wire key, aliasing worker cache slots
             key, blob = self._blob_for(prog)
             self._task_counter += 1
-            task = _Task(prog, self._task_counter, key, blob, max_steps, backend)
+            task = _Task(prog, self._task_counter, key, blob, max_steps)
             for shard_idx, (off, length) in enumerate(spans):
                 if length == 0:
                     task.done[shard_idx] = []  # nothing to run: never dispatched

@@ -1,43 +1,33 @@
-"""The pluggable-backend contract: selection, bit-identity, fork/pickle safety.
+"""The one untraced tier, ``fused``: bit-identity, fork/pickle safety, no knob.
 
 Four groups of pins:
 
-* **selection** — the ``resolve_backend`` precedence order (explicit arg >
-  program field > ``REPRO_BACKEND`` > ``fused`` default), the compile-time
-  validation of ``compile_nsc(..., backend=...)``, and the uniform refusal
-  of the two tier names that were removed;
-* **bit-identity** — the generated-code ``vector`` backend
-  agrees with the traced interpreter and the fused executor on values,
+* **no selection** — the benchmark-only shims name ``fused`` alone, the
+  removed tier names are refused where a name is still accepted, and
+  ``REPRO_BACKEND`` is ignored on every path (in-process, batched, sharded);
+* **bit-identity** — ``fused`` agrees with the traced reference on values,
   ``T'``/``W'`` *and every error path* (trap depth, partial-block
   accounting, ``max_steps`` mid-block stops) across the differential
-  battery and a set of adversarial hand programs aimed at the interval
-  bounds (overflow edges, empty registers, destination aliasing);
+  battery and a set of adversarial hand programs (overflow edges, empty
+  registers, destination aliasing inside one block);
 * **process boundaries** — every registered plan-cache lock resets in a
-  forked child, and a program's ``backend`` pin survives pickling into
-  shard workers (proved by precedence: the workers run under a *bogus*
-  ``REPRO_BACKEND``, so only the pickled field can make them succeed);
-* **disassembly** — each backend renders its plan; the vector backend's
-  generated source for a fixed program is snapshot under
-  ``tests/golden/vector_source.py.txt``.
+  forked child;
+* **disassembly** — the plan listing renders block boundaries.
+
+The ``test_vector_*`` tests are named for the vector-register programs
+they run; they once pinned a second untraced tier, and now pin ``fused``
+against the traced reference on the same programs and edges.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 
 import pytest
 
-from repro.backends import (
-    FUSED,
-    VECTOR,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
+from repro.backends import available_backends, get_backend
 from repro.backends import fused as fused_mod
-from repro.backends import vector as vector_mod
 from repro.bvram import BVRAM, BVRAMError
 from repro.bvram.isa import (
     AppendI,
@@ -63,71 +53,71 @@ from repro.bvram.isa import (
 from repro.compiler import CompileError, compile_nsc
 from repro.compiler.difftest import suite
 from repro.nsc import builder as B
+from repro.nsc import from_python
 from repro.nsc.types import NAT
 from repro.serving import ShardExecutor
 
-ALL_BACKENDS = ("fused", "vector")
-
-
 # ---------------------------------------------------------------------------
-# selection
+# no selection
 # ---------------------------------------------------------------------------
-
-
-class _Pinned:
-    backend = "vector"
 
 
 def test_registry_lists_all_backends():
-    assert available_backends() == ALL_BACKENDS
-    for name in ALL_BACKENDS:
-        assert get_backend(name).name == name
+    # the two names bench/layers.py still calls to time the tier's plan
+    assert available_backends() == ("fused",)
+    assert get_backend("fused") is fused_mod
+    prog = compile_nsc(_affine_fn())
+    assert get_backend("fused").plan(prog) is fused_mod.plan(prog)
     with pytest.raises(ValueError, match="unknown backend"):
         get_backend("no-such-backend")
 
 
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert resolve_backend(None) is FUSED  # the default
-    assert resolve_backend(None, program=_Pinned()) is VECTOR  # program field
-    assert resolve_backend("fused", program=_Pinned()) is FUSED  # explicit wins
-    assert resolve_backend(VECTOR) is VECTOR  # instance passthrough
-
-    monkeypatch.setenv("REPRO_BACKEND", "vector")
-    assert resolve_backend(None) is VECTOR  # env beats the default
-    monkeypatch.setenv("REPRO_BACKEND", "fused")
-    assert resolve_backend(None, program=_Pinned()) is VECTOR  # field beats env
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("nope")
-
-
-def test_compile_nsc_validates_backend_name():
-    with pytest.raises(CompileError, match="unknown backend"):
-        compile_nsc(_affine_fn(), backend="no-such-backend")
-    prog = compile_nsc(_affine_fn(), backend="vector")
-    assert prog.backend == "vector"
-
-
-#: the tiers deleted in PR 15: the per-instruction loop and the numba variant
-#: of ``vector`` (spelled in pieces so a grep for the old name stays empty)
-REMOVED = ("interp", "vector" + "-jit")
+#: the deleted tiers: the per-instruction loop, the numba variant of the
+#: generated-source tier, and that tier itself
+REMOVED = ("interp", "vector" + "-jit", "vector")
 
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_tiers_are_refused_by_name(name):
-    """A removed tier fails like any unknown name, at every door."""
-    gone = f"unknown backend {name!r}; available: fused, vector"
+    """A removed tier fails like any unknown name wherever a name is taken."""
+    gone = f"unknown backend {name!r}; available: fused"
     with pytest.raises(ValueError, match=gone):
         get_backend(name)
-    with pytest.raises(CompileError, match=gone):
-        compile_nsc(_affine_fn(), backend=name)
-    # a program pickled while the tier existed still carries its name
-    stale = compile_nsc(_affine_fn())
-    stale.backend = name
-    clone = pickle.loads(pickle.dumps(stale))
-    assert clone.backend == name
+    prog = compile_nsc(_affine_fn())
     with pytest.raises(ValueError, match=gone):
-        clone.run([1, 2, 3])
+        prog.run([1, 2, 3], backend=name)
+
+
+def test_backend_pin_survives_pickling_to_shard_workers(monkeypatch):
+    """A program pickled while tiers could be pinned still runs, sharded too."""
+    values = [[1, 2, 3], [4, 5], [6], [7, 8]]
+    prog = compile_nsc(_affine_fn())
+    expected = prog.run_batch(values)
+    # a program pickled while the knob existed carries a tier name in its
+    # state; it crosses the boundary without its plan caches and nothing
+    # reads the name, in this process or in a worker
+    stale = compile_nsc(_affine_fn())
+    stale.backend = "vector"
+    stale.run_batch(values)
+    clone = pickle.loads(pickle.dumps(stale))
+    for attr in clone._CACHE_ATTRS:
+        assert not hasattr(clone, attr)
+    assert clone.run_batch(values) == expected
+    monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
+    with ShardExecutor(n_workers=2) as ex:
+        assert ex.run_batch(stale, values, shards=2) == expected
+
+
+def test_backend_environment_is_ignored(monkeypatch):
+    values = [[1, 2, 3], [4, 5], [6], [7, 8]]
+    prog = compile_nsc(_affine_fn())
+    expected = [prog.run(v)[0] for v in values]
+    # workers forked after this inherit it too
+    monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
+    assert [prog.run(v)[0] for v in values] == expected
+    assert prog.run_batch(values) == expected
+    with ShardExecutor(n_workers=2) as ex:
+        assert ex.run_batch(prog, values, shards=2) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +125,11 @@ def test_removed_tiers_are_refused_by_name(name):
 # ---------------------------------------------------------------------------
 
 
-def _machine_outcome(prog, value, backend):
+def _machine_outcome(prog, value, traced):
     """(tag, registers, T, W) — error paths keep message and partial totals."""
     machine = BVRAM(prog.n_registers)
     try:
-        if backend == "traced":
-            res = machine.run(prog, prog.encode_input(value))
-        else:
-            res = machine.run(
-                prog, prog.encode_input(value), record_trace=False, backend=backend
-            )
+        res = machine.run(prog, prog.encode_input(value), record_trace=traced)
     except BVRAMError as e:
         return (
             "err",
@@ -159,29 +144,24 @@ def _machine_outcome(prog, value, backend):
 @pytest.mark.parametrize("opt_level", [0, 2])
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25])
 def test_vector_battery_bit_identical(eps, opt_level):
-    """values, T' and W' agree with fused on every battery program/input."""
+    """values, T' and W' agree with the traced reference on every battery program/input."""
     for name, fn, inputs in suite():
         prog = compile_nsc(fn, eps=eps, opt_level=opt_level)
         for v in inputs:
-            ref = _machine_outcome(prog, v, "fused")
-            got = _machine_outcome(prog, v, "vector")
+            ref = _machine_outcome(prog, v, traced=True)
+            got = _machine_outcome(prog, v, traced=False)
             assert got == ref, (name, eps, opt_level, v)
 
 
 # ---------------------------------------------------------------------------
-# bit-identity: adversarial hand programs against the interval bounds
+# bit-identity: adversarial hand programs
 # ---------------------------------------------------------------------------
 
 
-def _raw_outcome(prog, inputs, backend, max_steps=10_000_000):
+def _raw_outcome(prog, inputs, traced, max_steps=10_000_000):
     machine = BVRAM(prog.n_registers)
     try:
-        if backend == "traced":
-            machine.run(prog, inputs, max_steps=max_steps)
-        else:
-            machine.run(
-                prog, inputs, max_steps=max_steps, record_trace=False, backend=backend
-            )
+        machine.run(prog, inputs, max_steps=max_steps, record_trace=traced)
     except BVRAMError as e:
         return (
             "err",
@@ -198,11 +178,10 @@ def _raw_outcome(prog, inputs, backend, max_steps=10_000_000):
     )
 
 
-def _assert_all_backends_agree(prog, inputs, max_steps=10_000_000):
-    ref = _raw_outcome(prog, inputs, "traced", max_steps)
-    for be in ALL_BACKENDS:
-        got = _raw_outcome(prog, inputs, be, max_steps)
-        assert got == ref, (be, inputs, got, ref)
+def _assert_fused_agrees(prog, inputs, max_steps=10_000_000):
+    ref = _raw_outcome(prog, inputs, True, max_steps)
+    got = _raw_outcome(prog, inputs, False, max_steps)
+    assert got == ref, (inputs, got, ref)
     return ref
 
 
@@ -231,9 +210,9 @@ def test_vector_overflow_edges_match_traced():
         [[2**61], [2**61]],  # * overflows at instruction 1
         [[1], [0]],  # division by zero at instruction 2
         [[3, 4], [5]],  # shape mismatch message and lengths
-        [[], []],  # empty operands: vacuous bounds must not misfire
+        [[], []],  # empty operands
     ):
-        _assert_all_backends_agree(p, inputs)
+        _assert_fused_agrees(p, inputs)
 
 
 def test_vector_shift_and_monus_edges():
@@ -251,12 +230,12 @@ def test_vector_shift_and_monus_edges():
         n_outputs=1,
     )
     for shifts in ([0, 1, 62, 63, 64, 1000], [63, 63, 63, 63, 63, 63]):
-        _assert_all_backends_agree(p, [[TOP, BIG, 5, 1, 0, TOP], shifts])
+        _assert_fused_agrees(p, [[TOP, BIG, 5, 1, 0, TOP], shifts])
 
 
 def test_vector_dst_aliasing_in_one_block():
-    # repeated writes to the same register inside one block: the generated
-    # bounds temporaries must not read a half-updated l/h pair
+    # repeated writes to the same register inside one block: each step
+    # must read the value the step before it wrote
     p = Program(
         instructions=[
             Move(2, 0),
@@ -271,9 +250,9 @@ def test_vector_dst_aliasing_in_one_block():
         n_inputs=2,
         n_outputs=1,
     )
-    _assert_all_backends_agree(p, [[3, 7], [5, 2]])
-    _assert_all_backends_agree(p, [[2**31], [1]])  # * overflows mid-chain
-    _assert_all_backends_agree(p, [[3, 7], [0, 0]])  # mod-by-zero trap
+    _assert_fused_agrees(p, [[3, 7], [5, 2]])
+    _assert_fused_agrees(p, [[2**31], [1]])  # * overflows mid-chain
+    _assert_fused_agrees(p, [[3, 7], [0, 0]])  # mod-by-zero trap
 
 
 def test_vector_segmented_overflow_boundary():
@@ -293,11 +272,11 @@ def test_vector_segmented_overflow_boundary():
     for data, segs in (
         ([1, 2, 3, 4], [2, 2]),
         ([BIG - 1, BIG], [2]),  # sum = 2**63 - 1: largest representable
-        ([BIG, BIG], [2]),  # sum = 2**63: traps in every backend
+        ([BIG, BIG], [2]),  # sum = 2**63: traps on both paths
         ([], [0, 0]),
         ([5], [1, 0]),
     ):
-        _assert_all_backends_agree(p, [data, segs, []])
+        _assert_fused_agrees(p, [data, segs, []])
 
 
 def test_vector_max_steps_stops_mid_block():
@@ -315,13 +294,13 @@ def test_vector_max_steps_stops_mid_block():
         n_outputs=1,
     )
     for ms in range(1, 10):
-        _assert_all_backends_agree(p, [[1], [2]], max_steps=ms)
+        _assert_fused_agrees(p, [[1], [2]], max_steps=ms)
 
 
 def test_negative_load_const_traps_only_when_executed():
     # the traced loop checks the constant when the instruction runs, so a
     # negative one behind a halt is harmless and one on the executed path
-    # is an uncharged trap after its charged prefix — in every tier
+    # is an uncharged trap after its charged prefix — untraced too
     unreached = Program(
         instructions=[LoadConst(0, 7), Halt(), LoadConst(0, -1)],
         labels={},
@@ -329,7 +308,7 @@ def test_negative_load_const_traps_only_when_executed():
         n_inputs=0,
         n_outputs=1,
     )
-    assert _assert_all_backends_agree(unreached, []) == ("ok", 2, 1, [[7]])
+    assert _assert_fused_agrees(unreached, []) == ("ok", 2, 1, [[7]])
     reached = Program(
         instructions=[LoadConst(0, 7), LoadConst(1, 3), LoadConst(0, -1), Halt()],
         labels={},
@@ -337,7 +316,7 @@ def test_negative_load_const_traps_only_when_executed():
         n_inputs=0,
         n_outputs=1,
     )
-    tag, message, time, work, _ = _assert_all_backends_agree(reached, [])
+    tag, message, time, work, _ = _assert_fused_agrees(reached, [])
     assert (tag, time, work) == ("err", 2, 2)
     assert message == "load_const: BVRAM registers hold natural numbers"
 
@@ -345,21 +324,22 @@ def test_negative_load_const_traps_only_when_executed():
 def test_moved_label_rebuilds_every_plan():
     # jump targets are resolved when a plan is built, so the plan caches
     # must treat a relabelled program as a new one — the traced reference
-    # walks the same cached op table as the tiers
+    # walks the same cached op table as the fused plan
     p = Program(
         instructions=[Goto("a"), LoadConst(0, 1), Halt(), LoadConst(0, 2), Halt()],
         labels={"a": 1},
         n_registers=1,
         n_inputs=0,
     )
-    assert _assert_all_backends_agree(p, [])[-1] == [[1]]
+    assert _assert_fused_agrees(p, [])[-1] == [[1]]
     p.labels["a"] = 3
-    assert _assert_all_backends_agree(p, [])[-1] == [[2]]
+    assert _assert_fused_agrees(p, [])[-1] == [[2]]
 
 
 def test_vector_machine_reuse_reinitialises_bounds():
-    # the second run on the SAME machine must rebuild bounds from the
-    # leftover register contents, not trust stale ones
+    # a second run on the SAME machine starts from its leftover registers
+    # and must agree with a traced run on a fresh machine: its totals and
+    # overflow checks come from this run's values, not the run before
     p = Program(
         instructions=[Arith(2, "+", 0, 1), Arith(3, "max", 2, 2), Halt()],
         labels={},
@@ -368,16 +348,32 @@ def test_vector_machine_reuse_reinitialises_bounds():
         n_outputs=1,
     )
     m = BVRAM(4)
-    m.run(p, [[1], [2]], record_trace=False, backend="vector")
+    m.run(p, [[1], [2]], record_trace=False)
     assert m.register(3) == [3]
-    m.run(p, [[BIG], [BIG - 1]], record_trace=False, backend="vector")
+    m.run(p, [[BIG], [BIG - 1]], record_trace=False)
     assert m.register(2) == [TOP]
+    assert (m.time, m.work) == _raw_outcome(p, [[BIG], [BIG - 1]], True)[1:3]
     with pytest.raises(BVRAMError, match="overflow"):
-        m.run(p, [[BIG], [BIG]], record_trace=False, backend="vector")
+        m.run(p, [[BIG], [BIG]], record_trace=False)
+
+
+def test_load_const_wider_than_a_register_is_refused_at_construction():
+    # no int64 register holds 2**63, so the instruction cannot exist; the
+    # largest natural below it loads and runs
+    with pytest.raises(ValueError, match=str(2**63)):
+        Program([Halt(), LoadConst(0, 2**63)])
+    top = Program([LoadConst(0, TOP), Halt()], n_registers=1, n_inputs=0)
+    assert _assert_fused_agrees(top, []) == ("ok", 2, 1, [[TOP]])
+    # an NSC literal that wide is outside the compiler's fragment
+    x = B.gensym("x")
+    with pytest.raises(CompileError, match="exceeds the int64 register width"):
+        compile_nsc(B.map_(B.lam(x, NAT, B.add(B.v(x), 2**63))), cache=None)
+    widest = compile_nsc(B.map_(B.lam(x, NAT, B.nat_max(B.v(x), TOP))), cache=None)
+    assert widest.run([1, 2])[0] == from_python([TOP, TOP])
 
 
 # ---------------------------------------------------------------------------
-# process boundaries: fork-safe locks, pickled backend pins
+# process boundaries: fork-safe locks
 # ---------------------------------------------------------------------------
 
 
@@ -390,11 +386,7 @@ def _affine_fn():
     "fork" not in mp.get_all_start_methods(), reason="fork start method unavailable"
 )
 def test_fork_resets_every_registered_cache_lock():
-    locks = [
-        fused_mod._TABLE_CACHE._lock,
-        fused_mod._CACHE._lock,
-        vector_mod._CACHE._lock,
-    ]
+    locks = [fused_mod._TABLE_CACHE._lock, fused_mod._CACHE._lock]
     for lock in locks:
         assert lock.acquire(timeout=5)
     try:
@@ -416,35 +408,13 @@ def test_fork_resets_every_registered_cache_lock():
             lock.release()
 
 
-def test_backend_pin_survives_pickling_to_shard_workers(monkeypatch):
-    values = [[1, 2, 3], [4, 5], [6], [7, 8]]
-    pinned = compile_nsc(_affine_fn(), backend="vector")
-    unpinned = compile_nsc(_affine_fn())
-    expected = pinned.run_batch(values)
-
-    clone = pickle.loads(pickle.dumps(pinned))
-    assert clone.backend == "vector"
-    for attr in clone._CACHE_ATTRS:
-        assert not hasattr(clone, attr)
-
-    # workers inherit a BOGUS env default, so resolution inside a worker can
-    # only succeed through an explicit per-call backend or the program's own
-    # pickled field — success below proves the pin crossed the boundary
-    monkeypatch.setenv("REPRO_BACKEND", "no-such-backend")
-    with ShardExecutor(n_workers=2) as ex:
-        assert ex.run_batch(pinned, values, shards=2) == expected
-        assert ex.run_batch(unpinned, values, shards=2, backend="vector") == expected
-        with pytest.raises(ValueError, match="unknown backend"):
-            ex.run_batch(unpinned, values, shards=2)
-
-
 # ---------------------------------------------------------------------------
 # disassembly
 # ---------------------------------------------------------------------------
 
-#: one instruction per vector-codegen template, plus control entries; the
-#: operand shapes are chosen so the 3-element input below runs every
-#: instruction without trapping (see test_golden_program_executes_identically)
+#: one instruction of every opcode, plus control entries; the operand shapes
+#: are chosen so the 3-element input below runs every instruction without
+#: trapping
 _GOLDEN = Program(
     instructions=[
         Arith(2, "+", 0, 1),
@@ -486,36 +456,15 @@ _GOLDEN = Program(
     n_outputs=1,
 )
 
-_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "vector_source.py.txt")
-
-
-def test_disassemble_smoke(monkeypatch):
+def test_disassemble_smoke():
     prog = compile_nsc(_affine_fn())
-    for be in ALL_BACKENDS:
-        text = prog.disassemble(backend=be)
-        assert isinstance(text, str) and text
-    assert "def _blk" in prog.disassemble(backend="vector")
-    assert "# entry" in prog.disassemble(backend="fused")
-    # the default disassembly follows the same resolution as run()
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert prog.disassemble() == prog.disassemble(backend="fused")
-
-
-def test_vector_generated_source_matches_golden():
-    source = get_backend("vector").disassemble(_GOLDEN)
-    with open(_GOLDEN_PATH, encoding="utf-8") as fh:
-        golden = fh.read()
-    assert source == golden, (
-        "generated vector source drifted from tests/golden/vector_source.py.txt; "
-        "if the change is intentional, regenerate the snapshot with:\n"
-        "  PYTHONPATH=src:tests python -c \"import test_backends as t; "
-        "open(t._GOLDEN_PATH, 'w').write("
-        "t.get_backend('vector').disassemble(t._GOLDEN))\""
-    )
+    text = prog.disassemble()
+    assert text.startswith("# entry 0: block")
+    assert text == fused_mod.disassemble(prog)
 
 
 def test_golden_program_executes_identically():
-    # the golden program is not just a pretty listing — it runs (data register
-    # shapes chosen so every descriptor check passes until the goto)
-    _assert_all_backends_agree(_GOLDEN, [[9, 0, 4], [3, 1, 2]])
-    _assert_all_backends_agree(_GOLDEN, [[], []])
+    # every opcode in one program (data register shapes chosen so every
+    # descriptor check passes until the goto)
+    _assert_fused_agrees(_GOLDEN, [[9, 0, 4], [3, 1, 2]])
+    _assert_fused_agrees(_GOLDEN, [[], []])

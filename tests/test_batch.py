@@ -96,20 +96,20 @@ def test_batch_axis_program_matches_width1_on_battery_subset():
 
 
 # ---------------------------------------------------------------------------
-# Tier parity: traced == fused == vector, bit for bit
+# Tier parity: traced == fused, bit for bit
 # ---------------------------------------------------------------------------
 
-#: (record_trace, backend) of the reference and of every untraced tier
-MODES = ((True, None), (False, "fused"), (False, "vector"))
+#: record_trace of the reference and of the untraced ``fused`` tier
+MODES = (True, False)
 
 
 def _run_modes(prog, inputs, n_registers, **kwargs):
     """[(machine, None or the BVRAMError message)] per mode, in MODES order."""
     out = []
-    for record_trace, backend in MODES:
+    for record_trace in MODES:
         m = BVRAM(n_registers)
         try:
-            m.run(prog, inputs, record_trace=record_trace, backend=backend, **kwargs)
+            m.run(prog, inputs, record_trace=record_trace, **kwargs)
             outcome = None
         except BVRAMError as e:
             outcome = str(e)

@@ -1,7 +1,7 @@
 """Concurrency and process-boundary safety of one shared CompiledProgram.
 
 The mutable state under test is the lazily-built execution plans —
-``_fast_plan`` / ``_fused_plan`` / ``_vector_plan`` (``repro.backends``) —
+the op table ``_fast_plan`` and the ``_fused_plan`` (``repro.backends``) —
 which their plan caches guard with locks.  The hammer starts
 8 threads against a *cold* program so the first builds race, and checks
 every result stays exactly equal to the single-threaded reference.  The
@@ -71,13 +71,10 @@ def test_eight_threads_hammer_one_program():
 def test_pickle_drops_runtime_caches():
     prog = compile_nsc(_collatz_fn())
     expected = prog.run(INPUTS[0])[0]
-    # warm each backend's plan explicitly (the env default must not decide
-    # which caches exist — this test runs under every REPRO_BACKEND CI leg)
-    prog.run(INPUTS[0], backend="fused")
-    prog.run(INPUTS[0], backend="vector")
+    prog.profile(INPUTS[0])  # warms the profiler's block map too
     prog.run_batch(BATCH)  # records the batched run's outcome
-    assert getattr(prog, "_fused_plan", None) is not None
-    assert getattr(prog, "_vector_plan", None) is not None
+    for attr in ("_fast_plan", "_fused_plan", "_profile_meta"):
+        assert getattr(prog, attr, None) is not None, attr
     assert hasattr(prog, "_batch_fallback_error")
 
     state = prog.__getstate__()

@@ -179,11 +179,11 @@ def test_result_sizes_validation():
 # scalar field, a sum tag and a segment descriptor.  The fuzz grammar only
 # captures scalars (``fuzz_gen._map_scope``), so sequence-valued closures and
 # their empty / singleton / uneven shapes are pinned here, through the whole
-# chain: interpreter == opt0 == opt2 == traced == fused == vector ==
+# chain: interpreter == opt0 == opt2 == traced == fused ==
 # run_batch on values and trap text, ``T'``/``W'`` equal across the engines
 # of one program.
 
-ENGINES = ("traced", "fused", "vector")
+ENGINES = ("traced", "fused")
 
 
 def _captures(closure_type, make_body, bind=lambda term: term):
@@ -243,10 +243,7 @@ CLOSURE_PROGRAMS = {
 def _machine_outcome(prog, inputs, engine, decode):
     machine = BVRAM(prog.n_registers)
     try:
-        if engine == "traced":
-            machine.run(prog, inputs)
-        else:
-            machine.run(prog, inputs, record_trace=False, backend=engine)
+        machine.run(prog, inputs, record_trace=engine == "traced")
     except BVRAMError as e:
         return ("trap", str(e), machine.time, machine.work)
     return ("value", decode(machine.registers), machine.time, machine.work)
@@ -352,7 +349,7 @@ def test_a_branch_passes_full_width_values():
 
 
 def _through_the_chain(fn, args):
-    """Every arg through opt0/opt2 x traced/fused/vector, ``run_batch`` and a
+    """Every arg through opt0/opt2 x traced/fused, ``run_batch`` and a
     one-worker shard: the interpreter's value, or its error's text as the
     trap, and the same ``T'``/``W'`` on every engine of one program."""
     values = [from_python(a) for a in args]

@@ -6,8 +6,8 @@ trap-equality** against the Appendix B interpreter (the semantics of
 record):
 
 * ``compile_nsc`` at ``opt_level=0`` (naive emission, fused executor);
-* ``compile_nsc`` at ``opt_level=2`` — fused, unfused *and* generated-code
-  ``vector`` backends;
+* ``compile_nsc`` at ``opt_level=2`` — the untraced ``fused`` tier and the
+  traced reference machine;
 * ``run_batch`` over the whole input set (one batched machine run, with
   ``return_exceptions=True`` isolation);
 * the ``plain`` column — the same inputs as plain Python data, which the
@@ -61,12 +61,10 @@ def _interp_outcome(fn, value):
         return TRAP
 
 
-def _compiled_outcome(prog, value, backend=None):
+def _compiled_outcome(prog, value, traced=False):
     machine = BVRAM(prog.n_registers)
     try:
-        res = machine.run(
-            prog, prog.encode_input(value), record_trace=False, backend=backend
-        )
+        res = machine.run(prog, prog.encode_input(value), record_trace=traced)
     except BVRAMError:
         return TRAP
     return ("value", prog.decode_output(res.registers))
@@ -110,7 +108,7 @@ def _check_case(case, executor) -> list[str]:
     for i, v in enumerate(values):
         expect("opt0", i, _compiled_outcome(prog0, v))
         expect("opt2/fused", i, _compiled_outcome(prog2, v))
-        expect("opt2/vector", i, _compiled_outcome(prog2, v, backend="vector"))
+        expect("opt2/traced", i, _compiled_outcome(prog2, v, traced=True))
 
     batched = prog2.run_batch(values, return_exceptions=True)
     for i, res in enumerate(batched):

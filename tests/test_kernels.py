@@ -1,9 +1,9 @@
 """The op table, row by row: every opcode's value, charge, trap and cost.
 
 Every BVRAM instruction class owns one ``step()`` closure
-(:mod:`repro.bvram.isa`) that the traced reference and the ``fused`` tier
-both run, while the ``vector`` tier spells each opcode again as generated
-source.  The table below runs **every** opcode through all three engines:
+(:mod:`repro.bvram.isa`) that the traced reference and the untraced
+``fused`` tier both run.  The table below runs **every** opcode through
+both engines:
 
 * each row's destination register must equal a NumPy one-liner written
   independently of the kernels, with ``T'``/``W'`` as Section 2 charges
@@ -53,7 +53,7 @@ from repro.sa.flattening import CostCounter, SegmentedVector, seq_bm_route
 
 KERNEL_EXAMPLES = int(os.environ.get("KERNEL_EXAMPLES", "200"))
 
-ENGINES = ("reference", "fused", "vector")
+ENGINES = ("reference", "fused")
 
 # ---------------------------------------------------------------------------
 # The table: one row per opcode, sized by a segment count
@@ -231,7 +231,7 @@ PER_SEGMENT_LOOP = {
 
 
 def _engine_kwargs(engine: str) -> dict:
-    return {} if engine == "reference" else {"record_trace": False, "backend": engine}
+    return {"record_trace": engine == "reference"}
 
 
 def _run(row: Row, program: isa.Program, registers: list, engine: str) -> BVRAM:

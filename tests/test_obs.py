@@ -1,8 +1,7 @@
 """Observability: span tracer, exact T'/W' attribution, Prometheus export.
 
 The load-bearing test here is the differential battery: every suite()
-program, on every input, at opt 0 and 2, on every registered backend,
-must profile to per-block T'/W' sums that are *bit-identical* to the
+program, on every input, at opt 0 and 2, must profile to per-block T'/W' sums that are *bit-identical* to the
 machine totals of a plain run — on success, on traps, and on mid-block
 step-budget exhaustion.  The tracer tests pin the disabled path to a
 shared no-op (the ≤2% overhead gate), and the export tests pin the
@@ -17,7 +16,6 @@ from time import perf_counter
 
 import pytest
 
-from repro.backends import available_backends
 from repro.bvram import BVRAM, BVRAMError, isa
 from repro.compiler import CompiledProgram, compile_nsc
 from repro.compiler.difftest import suite
@@ -57,16 +55,16 @@ def _collatz_prog(opt_level: int = 2):
     raise AssertionError("collatz_steps missing from the battery")
 
 
-def _plain(prog, value, backend, max_steps=10_000_000):
+#: the untraced engine, named in the test ids; ``fused`` is the only one
+UNTRACED = ["fused"]
+
+
+def _plain(prog, value, max_steps=10_000_000):
     """An untraced run's outcome: (status, error, T', W', decoded value)."""
     machine = BVRAM(prog.n_registers)
     try:
         res = machine.run(
-            prog,
-            prog.encode_input(value),
-            max_steps=max_steps,
-            record_trace=False,
-            backend=backend,
+            prog, prog.encode_input(value), max_steps=max_steps, record_trace=False
         )
     except BVRAMError as e:
         return ("err", str(e), machine.time, machine.work, None)
@@ -194,31 +192,30 @@ def test_run_batch_emits_serving_spans():
 
 @pytest.mark.parametrize("opt_level", [0, 2])
 def test_profile_attribution_bit_identical_battery(opt_level):
-    """Per-block T'/W' sums == machine totals on every program x input x backend."""
+    """Per-block T'/W' sums == machine totals on every program x input."""
     for name, fn, inputs in suite():
         prog = compile_nsc(fn, opt_level=opt_level)
         for value in inputs:
-            for backend in available_backends():
-                status, err, t, w, decoded = _plain(prog, value, backend)
-                report = prog.profile(value, backend=backend)
-                ctx = (name, opt_level, backend, value)
-                assert report.verify_totals(), ctx
-                assert (report.time, report.work) == (t, w), ctx
-                if status == "ok":
-                    assert report.error is None, ctx
-                    assert report.result == decoded, ctx
-                else:
-                    assert report.error == err, ctx
+            status, err, t, w, decoded = _plain(prog, value)
+            report = prog.profile(value)
+            ctx = (name, opt_level, value)
+            assert report.verify_totals(), ctx
+            assert (report.time, report.work) == (t, w), ctx
+            if status == "ok":
+                assert report.error is None, ctx
+                assert report.result == decoded, ctx
+            else:
+                assert report.error == err, ctx
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_profile_hits_per_entry_on_a_while_program(backend):
+@pytest.mark.parametrize("engine", UNTRACED)
+def test_profile_hits_per_entry_on_a_while_program(engine):
     """Per-entry hit counts of the collatz loop, as the PR 7 profiler reported them."""
     prog = _collatz_prog()
     value = [1, 9, 100, 3]
-    report = prog.profile(value, backend=backend)
-    assert report.backend == backend and report.verify_totals()
-    assert (report.time, report.work) == (1194, 5071)
+    report = prog.profile(value)
+    assert report.verify_totals(), engine
+    assert (report.time, report.work) == (1194, 5071), engine
     assert [(b.kind, b.hits) for b in report.blocks] == [
         ("block", 1), ("block", 26), ("jump", 26), ("block", 3), ("jump", 3),
         ("block", 25), ("jump", 25), ("block", 1), ("halt", 1),
@@ -227,15 +224,15 @@ def test_profile_hits_per_entry_on_a_while_program(backend):
     # per-step execution and must still count as ONE hit, charged 20 units
     step_body = report.blocks[5]
     assert step_body.last - step_body.first + 1 > 20  # the stop is inside the block
-    report = prog.profile(value, max_steps=40, backend=backend)
+    report = prog.profile(value, max_steps=40)
     assert report.verify_totals() and (report.time, report.work) == (40, 236)
     assert [(b.entry, b.hits, b.time) for b in report.blocks if b.hits] == [
         (0, 1, 14), (1, 1, 5), (2, 1, 1), (5, 1, 20),
     ]  # fmt: skip
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_profile_exit_unit_only_for_an_executed_halt_or_trap(backend):
+@pytest.mark.parametrize("engine", UNTRACED)
+def test_profile_exit_unit_only_for_an_executed_halt_or_trap(engine):
     """A run that stops *next to* a halt/trap it never executed charges it nothing."""
     # the taken goto lands on the halt just as the budget runs out; the
     # trap in between is one entry before the exit pc but was never fetched
@@ -246,11 +243,11 @@ def test_profile_exit_unit_only_for_an_executed_halt_or_trap(backend):
         n_inputs=0,
         n_outputs=1,
     )
-    report = profile_run(skipped, [], max_steps=1, backend=backend)
-    assert report.error.startswith("exceeded 1 steps")
+    report = profile_run(skipped, [], max_steps=1)
+    assert report.error.startswith("exceeded 1 steps"), engine
     assert report.verify_totals() and report.time == 1
     assert [b.hits for b in report.blocks] == [1, 0, 0]
-    report = profile_run(skipped, [], backend=backend)
+    report = profile_run(skipped, [])
     assert report.error is None and report.verify_totals()
     assert [b.hits for b in report.blocks] == [1, 0, 1]
     # a goto past the final halt runs off the end without executing it
@@ -261,39 +258,39 @@ def test_profile_exit_unit_only_for_an_executed_halt_or_trap(backend):
         n_inputs=0,
         n_outputs=1,
     )
-    report = profile_run(past_end, [], backend=backend)
+    report = profile_run(past_end, [])
     assert report.error is None and report.verify_totals() and report.time == 1
     assert [b.hits for b in report.blocks] == [1, 0]
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_profile_trap_sets_error_with_exact_prefix_totals(backend):
+@pytest.mark.parametrize("engine", UNTRACED)
+def test_profile_trap_sets_error_with_exact_prefix_totals(engine):
     prog = compile_nsc(_get_fn())
     value = [1, 2, 3]  # get() of a length-3 sequence traps
-    status, err, t, w, _ = _plain(prog, value, backend)
+    status, err, t, w, _ = _plain(prog, value)
     assert status == "err"
-    report = prog.profile(value, backend=backend)
-    assert report.error == err
+    report = prog.profile(value)
+    assert report.error == err, engine
     assert report.result is None
     assert report.verify_totals()
     assert (report.time, report.work) == (t, w)
     assert any(b.kind == "trap" and b.hits for b in report.blocks)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_profile_max_steps_mid_block_exact(backend):
+@pytest.mark.parametrize("engine", UNTRACED)
+def test_profile_max_steps_mid_block_exact(engine):
     """Budget expiring inside a block still attributes bit-identically."""
     prog = _collatz_prog()
     value = [27, 27, 27, 27]
-    full = _plain(prog, value, backend)
+    full = _plain(prog, value)
     assert full[0] == "ok"
     for max_steps in (1, 3, 7, full[2] // 2):
-        status, err, t, w, _ = _plain(prog, value, backend, max_steps=max_steps)
+        status, err, t, w, _ = _plain(prog, value, max_steps=max_steps)
         assert status == "err"
-        report = prog.profile(value, max_steps=max_steps, backend=backend)
-        assert report.error == err, (backend, max_steps)
-        assert report.verify_totals(), (backend, max_steps)
-        assert (report.time, report.work) == (t, w), (backend, max_steps)
+        report = prog.profile(value, max_steps=max_steps)
+        assert report.error == err, (engine, max_steps)
+        assert report.verify_totals(), (engine, max_steps)
+        assert (report.time, report.work) == (t, w), (engine, max_steps)
 
 
 def test_profile_meta_cached_like_plans():

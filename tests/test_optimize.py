@@ -213,9 +213,13 @@ def test_opt2_refines_opt0_on_random_scalar_programs(expr, x):
 # ---------------------------------------------------------------------------
 
 
+#: the untraced engine, named in the test ids; ``fused`` is the only one
+UNTRACED = ["fused"]
+
+
 @pytest.mark.parametrize("opt_level", [0, 2])
-@pytest.mark.parametrize("backend", ["fused", "vector"])
-def test_untraced_totals_match_traced(opt_level, backend):
+@pytest.mark.parametrize("engine", UNTRACED)
+def test_untraced_totals_match_traced(opt_level, engine):
     from repro.algorithms.quicksort import quicksort_def
     from repro.maprec.translate import translate
 
@@ -227,16 +231,17 @@ def test_untraced_totals_match_traced(opt_level, backend):
         prog = compile_nsc(fn, eps=0.5, opt_level=opt_level)
         v_t, r_t = prog.run(arg, trace=True)
         m = BVRAM(prog.n_registers)
-        r_u = m.run(prog, prog.encode_input(arg), record_trace=False, backend=backend)
+        r_u = m.run(prog, prog.encode_input(arg), record_trace=False)
         v_u = prog.decode_output(r_u.registers)
-        assert v_t == v_u
-        assert (r_t.time, r_t.work) == (r_u.time, r_u.work)
-        assert all((a == b).all() for a, b in zip(r_t.registers, r_u.registers))
-        assert len(r_t.trace) == r_t.time and r_u.trace == []
+        ctx = (engine, opt_level, arg)
+        assert v_t == v_u, ctx
+        assert (r_t.time, r_t.work) == (r_u.time, r_u.work), ctx
+        assert all((a == b).all() for a, b in zip(r_t.registers, r_u.registers)), ctx
+        assert len(r_t.trace) == r_t.time and r_u.trace == [], ctx
 
 
-@pytest.mark.parametrize("backend", ["fused", "vector"])
-def test_untraced_totals_match_traced_on_error_paths(backend):
+@pytest.mark.parametrize("engine", UNTRACED)
+def test_untraced_totals_match_traced_on_error_paths(engine):
     x = B.gensym("x")
     fn = B.lam(x, seq(NAT), B.get_(B.v(x)))  # get of a non-singleton traps
     prog = compile_nsc(fn)
@@ -244,12 +249,10 @@ def test_untraced_totals_match_traced_on_error_paths(backend):
     for record_trace in (True, False):
         m = BVRAM(prog.n_registers)
         with pytest.raises(BVRAMError, match="length != 1"):
-            m.run(
-                prog, prog.encode_input([1, 2, 3]), record_trace=record_trace, backend=backend
-            )
+            m.run(prog, prog.encode_input([1, 2, 3]), record_trace=record_trace)
         machines.append(m)
     traced, untraced = machines
-    assert (traced.time, traced.work) == (untraced.time, untraced.work)
+    assert (traced.time, traced.work) == (untraced.time, untraced.work), engine
 
 
 def test_untraced_respects_max_steps():

@@ -306,6 +306,8 @@ def test_removed_knobs_are_refused():
     with pytest.raises(TypeError):
         Server(**window)
     with pytest.raises(TypeError):
+        Server(backend="fused")  # one untraced tier: nothing to select
+    with pytest.raises(TypeError):
         SLOConfig(target_p99_ms=10.0, window=64)
     with pytest.raises(ValueError):
         ShardExecutor(n_workers=1, transport="pickle")
